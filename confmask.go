@@ -384,7 +384,7 @@ func Trace(configs map[string]string, src, dst string) ([][]string, bool, error)
 	if err != nil {
 		return nil, false, err
 	}
-	paths := snap.Trace(src, dst)
+	paths := snap.TraceFrom(src, dst)
 	if len(paths) == 0 {
 		return nil, false, fmt.Errorf("confmask: no path data for %s→%s (unknown hosts?)", src, dst)
 	}

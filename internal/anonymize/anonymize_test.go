@@ -149,7 +149,7 @@ func checkPipeline(t *testing.T, cfg *config.Network, opts Options) (*config.Net
 }
 
 func deliveredAny(s *sim.Snapshot, src, dst string) bool {
-	for _, p := range s.Trace(src, dst) {
+	for _, p := range s.TraceFrom(src, dst) {
 		if p.Status == sim.Delivered {
 			return true
 		}
@@ -372,8 +372,8 @@ func TestApplyPII(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			p1 := s1.Trace(src, dst)
-			p2 := s2.Trace(names[src], names[dst])
+			p1 := s1.TraceFrom(src, dst)
+			p2 := s2.TraceFrom(names[src], names[dst])
 			if len(p1) != len(p2) {
 				t.Fatalf("path count differs for %s→%s: %d vs %d", src, dst, len(p1), len(p2))
 			}

@@ -154,7 +154,7 @@ func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim
 	for _, p := range base.dataPlane().Pairs[pair] {
 		origKeys[p.Key()] = true
 	}
-	for _, path := range snap.Trace(pair.Src, pair.Dst) {
+	for _, path := range snap.TraceFrom(pair.Src, pair.Dst) {
 		if origKeys[path.Key()] {
 			continue
 		}

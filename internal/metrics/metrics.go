@@ -54,7 +54,7 @@ func ComputeRouteAnonymity(dp *sim.DataPlane, gatewayOf map[string]string) Route
 			}
 			// Router-level path: strip the host endpoints.
 			distinct[key][strings.Join(p.Hops[1:len(p.Hops)-1], ">")] = true
-			break // canonical representative; Trace returns sorted paths
+			break // canonical representative; TraceFrom returns sorted paths
 		}
 	}
 	out := RouteAnonymity{Min: -1}

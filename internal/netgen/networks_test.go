@@ -75,7 +75,7 @@ func TestCatalogFullReachability(t *testing.T) {
 					if i == j {
 						continue
 					}
-					ps := snap.Trace(hosts[i], hosts[j])
+					ps := snap.TraceFrom(hosts[i], hosts[j])
 					ok := false
 					for _, p := range ps {
 						if p.Status == sim.Delivered {
@@ -127,7 +127,7 @@ func TestFatTreeECMP(t *testing.T) {
 	}
 	// Cross-pod traffic in a fat-tree must load-balance over multiple
 	// equal-cost paths.
-	ps := snap.Trace("h0-0-0", "h3-1-1")
+	ps := snap.TraceFrom("h0-0-0", "h3-1-1")
 	if len(ps) < 2 {
 		t.Fatalf("expected ECMP across pods, got %d paths", len(ps))
 	}
@@ -137,7 +137,7 @@ func TestFatTreeECMP(t *testing.T) {
 		}
 	}
 	// Same-edge traffic stays local.
-	local := snap.Trace("h0-0-0", "h0-0-1")
+	local := snap.TraceFrom("h0-0-0", "h0-0-1")
 	if len(local) != 1 || len(local[0].Hops) != 3 {
 		t.Fatalf("same-edge path = %v", local)
 	}
@@ -222,7 +222,7 @@ func TestEIGRPBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := snap.Trace("h1", "h2")
+	ps := snap.TraceFrom("h1", "h2")
 	if len(ps) != 1 || ps[0].Status != sim.Delivered {
 		t.Fatalf("EIGRP network unreachable: %v", ps)
 	}

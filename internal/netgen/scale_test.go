@@ -121,7 +121,7 @@ func TestScaleCatalogReachability(t *testing.T) {
 					if i == j {
 						continue
 					}
-					ps := snap.Trace(hosts[i], hosts[j])
+					ps := snap.TraceFrom(hosts[i], hosts[j])
 					ok := false
 					for _, p := range ps {
 						if p.Status == sim.Delivered {

@@ -16,6 +16,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"confmask/internal/sim"
@@ -122,15 +123,9 @@ func classify(ps []sim.Path) (status string, delivered int) {
 }
 
 // samePathSets reports whether two canonical (sorted) path lists are
-// identical.
+// identical, comparing statuses and hops element-wise.
 func samePathSets(a, b []sim.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(p, q sim.Path) bool {
+		return p.Status == q.Status && slices.Equal(p.Hops, q.Hops)
+	})
 }

@@ -88,7 +88,7 @@ func TestWaypointECMPFanOut(t *testing.T) {
 	ctx := context.Background()
 
 	// Sanity: the pair actually fans out.
-	if ps := snap.Trace("h0-0-0", "h3-1-1"); len(ps) < 2 {
+	if ps := snap.TraceFrom("h0-0-0", "h3-1-1"); len(ps) < 2 {
 		t.Fatalf("expected ECMP fan-out, got %d paths", len(ps))
 	}
 

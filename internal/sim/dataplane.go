@@ -12,29 +12,29 @@ import (
 // the devices form a successor graph toward that destination; the path set
 // from any source is the source's suffix set in that graph. The engine
 // computes each device's suffix set once via a memoized DFS instead of
-// re-walking shared path suffixes for every source — the recursive
-// per-pair walker redid exactly that work for every source behind the same
-// gateway, and re-derived every Path.Key O(log n) times inside its sort
-// comparator on top.
+// re-walking shared path suffixes for every source.
 //
 // Memoization is only sound where the walk outcome is independent of how
 // the walk arrived:
 //
-//   - Around forwarding loops the recursive walker truncates a path when
-//     it revisits a device already on the *current* walk, so the emitted
-//     hop sequence depends on the entry point. A cycle-taint pass (DFS
-//     over the successor graph) marks every node on or upstream of a
-//     cycle as loopy; loopy nodes fall back to the exact recursive walk.
-//   - Past maxTraceDepth the walker truncates with Looped status, so a
+//   - Around forwarding loops a walk is truncated when it revisits a
+//     device already on the *current* walk, so the emitted hop sequence
+//     depends on the entry point. A cycle-taint pass (DFS over the
+//     successor graph) marks every node on or upstream of a cycle as
+//     loopy; loopy nodes are walked.
+//   - Past maxTraceDepth a walk is truncated with Looped status, so a
 //     suffix is only spliced in when prefix+suffix provably fits the
 //     depth budget (maxLen, the longest memoized suffix, is tracked per
-//     node). Deeper prefixes fall back too.
+//     node). Deeper prefixes are walked too.
 //
-// Everything else — ECMP branch order, the maxTracePaths cap, Delivered /
-// Looped / BlackHoled classification, final canonical sort — reproduces
-// the recursive walker byte for byte; the dataplane tests pin that on the
-// evaluation networks and on randomized topologies with injected loops
-// and black holes.
+// The walk itself is written once (walk, below) and feeds one of two
+// sinks: pathSink materializes paths, censusSink only tracks whether a
+// Delivered path was emitted. Everything else — ECMP branch order, the
+// maxTracePaths cap, Delivered / Looped / BlackHoled classification, final
+// canonical sort — reproduces the per-pair recursive walker byte for byte;
+// the tests pin that against a naive reimplementation on the evaluation
+// networks, on randomized topologies with injected loops and black holes,
+// and across the path cap.
 //
 // Devices are addressed by dense index (the Snapshot's shared device
 // table) rather than name, and suffix sets are stored structurally (each
@@ -184,17 +184,6 @@ func (e *destEngine) cmpSuffix(an, ai, bn, bi int32) int {
 	}
 }
 
-// materialize builds the hop list of one memoized suffix.
-func (e *destEngine) materialize(node, ei int32) []string {
-	hops := make([]string, e.nodes[node].memo.length[ei])
-	for k := 0; node >= 0; k++ {
-		hops[k] = e.nameAt[node]
-		m := e.nodes[node].memo
-		node, ei = m.child[ei], m.sub[ei]
-	}
-	return hops
-}
-
 // appendSuffix appends one memoized suffix's hops to dst.
 func (e *destEngine) appendSuffix(dst []string, node, ei int32) []string {
 	for node >= 0 {
@@ -205,69 +194,85 @@ func (e *destEngine) appendSuffix(dst []string, node, ei int32) []string {
 	return dst
 }
 
-// viewOf materializes a node's canonical (sorted) path list and 128-bit
-// fingerprint from its memo. The canonical key bytes are streamed through
-// the engine's reusable scratch buffer and hashed — never retained as a
-// string. Callers hold mu.
+// appendNames appends the names of the given nodes to dst.
+func (e *destEngine) appendNames(dst []string, nodes []int32) []string {
+	for _, i := range nodes {
+		dst = append(dst, e.nameAt[i])
+	}
+	return dst
+}
+
+// spliceable reports whether node i's memoized suffix set stands in
+// exactly for a walk from i entered after depth hops: i is not loopy and
+// its longest suffix fits the depth budget.
+func (e *destEngine) spliceable(i int32, depth int) bool {
+	n := &e.nodes[i]
+	return !n.loopy && depth+n.maxLen <= maxTraceDepth
+}
+
+// viewOf materializes a spliceable node's canonical (sorted) path list and
+// fingerprint from its memo. Callers hold mu.
 func (e *destEngine) viewOf(i int32) ([]Path, Digest) {
-	m := e.nodes[i].memo
-	ps := make([]Path, len(m.order))
+	ps := make([]Path, len(e.memoOf(i).order))
+	return ps, e.keyDigest(i, ps)
+}
+
+// keyDigest fingerprints a spliceable node's canonical path-set key — the
+// sorted "<status>:<hops>" lines joined with "\n" — streaming the key
+// bytes out of the suffix memos through the engine's scratch buffer, so
+// no key string is built. A non-nil ps (one slot per suffix) also
+// receives the canonical paths, in the same pass; with nil ps no hop list
+// is built. Callers hold mu.
+func (e *destEngine) keyDigest(i int32, ps []Path) Digest {
+	m := e.memoOf(i)
 	buf := e.scratch[:0]
 	for k, j := range m.order {
-		hops := e.materialize(i, j)
-		ps[k] = Path{Hops: hops, Status: m.status[j]}
 		if k > 0 {
 			buf = append(buf, '\n')
 		}
 		buf = append(buf, m.status[j].String()...)
 		buf = append(buf, ':')
-		for h, name := range hops {
-			if h > 0 {
+		var hops []string
+		if ps != nil {
+			hops = make([]string, 0, m.length[j])
+		}
+		for node, ei := i, j; node >= 0; {
+			name := e.nameAt[node]
+			buf = append(buf, name...)
+			if ps != nil {
+				hops = append(hops, name)
+			}
+			sm := e.nodes[node].memo
+			if node, ei = sm.child[ei], sm.sub[ei]; node >= 0 {
 				buf = append(buf, '>')
 			}
-			buf = append(buf, name...)
+		}
+		if ps != nil {
+			ps[k] = Path{Hops: hops, Status: m.status[j]}
 		}
 	}
 	e.scratch = buf[:0]
-	return ps, digestOfBytes(buf)
+	return digestOfBytes(buf)
 }
 
 // digestFor returns only the fingerprint of the canonical path set from
-// src, streaming the key bytes out of the suffix memos without
-// materializing a single hop list. scratch is a caller-owned reusable
-// buffer, returned (possibly grown) for the next call. Unlike pathsFor
-// the result is not cached in bySrc — digest-only extraction queries each
-// source exactly once per destination.
-func (e *destEngine) digestFor(src string, scratch []byte) (Digest, []byte) {
+// src. Unlike pathsFor the result is not cached in bySrc — digest-only
+// extraction queries each source exactly once per destination — except
+// for sources that must be walked, which go through the caching path.
+func (e *destEngine) digestFor(src string) Digest {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if r, ok := e.bySrc[src]; ok {
-		return r.fp, scratch
+		return r.fp
 	}
 	if !e.built {
 		e.build()
 	}
-	i := e.indexOf(src)
-	if n := &e.nodes[i]; n.loopy || n.maxLen > maxTraceDepth {
-		// Loop/deep fallback: the walk must enumerate paths anyway, so go
-		// through the caching path.
-		_, fp := e.pathsForLocked(src)
-		return fp, scratch
+	if i := e.indexOf(src); e.spliceable(i, 0) {
+		return e.keyDigest(i, nil)
 	}
-	m := e.memoOf(i)
-	buf := scratch[:0]
-	for k, j := range m.order {
-		if k > 0 {
-			buf = append(buf, '\n')
-		}
-		buf = append(buf, m.status[j].String()...)
-		buf = append(buf, ':')
-		it := joinIter{e: e, node: i, ei: j}
-		for chunk, ok := it.next(); ok; chunk, ok = it.next() {
-			buf = append(buf, chunk...)
-		}
-	}
-	return digestOfBytes(buf), buf[:0]
+	_, fp := e.pathsForLocked(src)
+	return fp
 }
 
 // delivInfo is one node's delivered-reachability census over its capped
@@ -302,137 +307,45 @@ func (e *destEngine) delivInfoOf(i int32) delivInfo {
 	case blackholeNode:
 		di = delivInfo{count: 1}
 	default:
-		total := int32(0)
 		for _, s := range n.succ {
-			sub := e.delivInfoOf(s)
-			c := sub.count
-			if total+c > maxTracePaths {
-				c = maxTracePaths - total
-			}
-			if c == sub.count {
-				// Whole child admitted: its census applies as-is.
-				di.del = di.del || sub.del
-			} else if c > 0 && sub.del {
-				// Cap truncates this child mid-way: whether a Delivered
-				// suffix survives depends on its position in the child's
-				// DFS order, so fall back to the memo for the truncated
-				// child alone (still cap-bounded work).
-				m := e.memoOf(s)
-				for _, st := range m.status[:c] {
-					if st == Delivered {
-						di.del = true
-						break
-					}
-				}
-			}
-			total += c
-			if total >= maxTracePaths {
+			// Child s contributes its first c DFS-ordered suffixes.
+			c := min(e.delivInfoOf(s).count, maxTracePaths-di.count)
+			di.del = di.del || e.deliveredWithin(s, c)
+			di.count += c
+			if di.count >= maxTracePaths {
 				break
 			}
 		}
-		di.count = total
 	}
 	e.dinfoOK[i] = true
 	e.dinfo[i] = di
 	return di
 }
 
-// deliveredTraceLocked is the loop/deep fallback for delivered-only
-// queries: the exact trace enumeration — same suffix-splice condition,
-// same maxTracePaths / maxTraceDepth truncation, same branch order — but
-// tracking only the emitted-path count and whether any emitted path is
-// Delivered, so no hop list, Path value, or key string is ever built.
-// (The repair loop of Algorithm 2 lives here: noise filters make
-// per-router OSPF choices inconsistent, so the twinned network is full
-// of forwarding loops and nearly every source takes this fallback.)
-// Returns as soon as a Delivered path is found: later paths cannot
-// retract delivery. Callers hold mu.
-func (e *destEngine) deliveredTraceLocked(start int32) bool {
-	onStack := make([]bool, len(e.nodes))
-	emitted := int32(0)
-	del := false
-	var walk func(cur int32, depth int)
-	walk = func(cur int32, depth int) {
-		if del || emitted >= maxTracePaths {
-			return
-		}
-		n := &e.nodes[cur]
-		if !n.loopy && depth+n.maxLen <= maxTraceDepth {
-			// Suffix splice: trace emits min(len(memo), cap-emitted)
-			// entries of the node's DFS-ordered suffix set. The census
-			// count is exactly the memo length, so the whole-set case
-			// needs no memo at all; a cap truncation scans the memo's
-			// status prefix, like delivInfoOf's truncated-child case.
-			need := maxTracePaths - emitted
-			di := e.delivInfoOf(cur)
-			if di.count <= need {
-				emitted += di.count
-				del = del || di.del
-				return
-			}
-			if di.del {
-				for _, st := range e.memoOf(cur).status[:need] {
-					if st == Delivered {
-						del = true
-						break
-					}
-				}
-			}
-			emitted = maxTracePaths
-			return
-		}
-		depth++
-		if n.kind == deliveredNode {
-			emitted++
-			del = true
-			return
-		}
-		// Walker truncations each emit exactly one non-Delivered path
-		// (Looped on revisit or depth, BlackHoled on no-route), so the
-		// distinctions collapse for a delivered-only count.
-		if onStack[cur] || depth > maxTraceDepth || n.kind == blackholeNode {
-			emitted++
-			return
-		}
-		onStack[cur] = true
-		for _, s := range n.succ {
-			walk(s, depth)
-		}
-		onStack[cur] = false
+// deliveredWithin reports whether any of the first n DFS-ordered entries
+// of node i's capped suffix set is Delivered. The census answers when n
+// covers the whole set; when the cap cuts the set, whether a Delivered
+// suffix survives depends on its position, so the memo's status prefix
+// answers (still cap-bounded work). Callers hold mu.
+func (e *destEngine) deliveredWithin(i, n int32) bool {
+	di := e.delivInfoOf(i)
+	if !di.del || n >= di.count {
+		return di.del
 	}
-	walk(start, 0)
-	return del
-}
-
-// deliveredFromLocked reports whether at least one path from src toward
-// the destination is Delivered — exactly delivered-status membership in
-// pathsForLocked(src), via the census for the memoizable region and the
-// count-only trace for loopy/deep sources. Callers hold mu.
-func (e *destEngine) deliveredFromLocked(src string) bool {
-	if r, ok := e.bySrc[src]; ok {
-		for _, p := range r.paths {
-			if p.Status == Delivered {
-				return true
-			}
+	for _, st := range e.memoOf(i).status[:n] {
+		if st == Delivered {
+			return true
 		}
-		return false
 	}
-	if !e.built {
-		e.build()
-	}
-	i := e.indexOf(src)
-	if n := &e.nodes[i]; n.loopy || n.maxLen > maxTraceDepth {
-		return e.deliveredTraceLocked(i)
-	}
-	return e.delivInfoOf(i).del
+	return false
 }
 
 // DeliveredFrom reports, for each source, whether at least one forwarding
 // path from it toward dst is delivered — element i answers for srcs[i],
 // with the exact semantics of scanning TraceFrom(srcs[i], dst) for a
-// Delivered path (including the maxTracePaths truncation), computed
-// without materializing hop lists for the acyclic in-depth region.
-// Unknown destinations yield all-false, like TraceFrom's nil result.
+// Delivered path (including the maxTracePaths truncation), computed by
+// the walker's census sink without materializing any hop list. Unknown
+// destinations yield all-false, like TraceFrom's nil result.
 func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	out := make([]bool, len(srcs))
 	e := s.engineFor(dst)
@@ -441,8 +354,13 @@ func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if !e.built {
+		e.build()
+	}
 	for i, src := range srcs {
-		out[i] = e.deliveredFromLocked(src)
+		sink := censusSink{e: e}
+		e.walk(e.indexOf(src), Failure{}, &sink)
+		out[i] = sink.del
 	}
 	return out
 }
@@ -481,7 +399,7 @@ type destEngine struct {
 	// indexOf appends out-of-config nodes.
 	dinfo   []delivInfo
 	dinfoOK []bool
-	// scratch is the reusable canonical-key byte buffer viewOf hashes
+	// scratch is the reusable canonical-key byte buffer keyDigest hashes
 	// through; guarded by mu like the rest of the lazy state.
 	scratch []byte
 	// failRes caches finished what-if traces per (failure, src); see
@@ -570,12 +488,10 @@ func (s *Snapshot) traceWorkers() int {
 // pathsFor returns the canonical path set and fingerprint from src toward
 // the engine's destination, computing it at most once per source.
 //
-// The common case — src not on or upstream of a forwarding loop, longest
-// path within the depth budget — sorts the src node's memoized suffix set
-// directly: the Path values are shared with every other source whose walk
-// passes through src, which is what makes extraction cheaper than
-// per-pair walking. The loop/deep fallback runs the hybrid recursive walk
-// instead.
+// The common case — src spliceable: not on or upstream of a forwarding
+// loop, longest path within the depth budget — reads the src node's
+// memoized suffix set in its precomputed canonical order. Other sources
+// are walked with the path sink and sorted.
 func (e *destEngine) pathsFor(src string) ([]Path, Digest) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -592,12 +508,10 @@ func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
 	}
 	var ps []Path
 	var fp Digest
-	i := e.indexOf(src)
-	if n := &e.nodes[i]; !n.loopy && n.maxLen <= maxTraceDepth {
-		e.memoOf(i)
+	if i := e.indexOf(src); e.spliceable(i, 0) {
 		ps, fp = e.viewOf(i)
 	} else {
-		ps, fp = sortPathsByKey(e.trace(i))
+		ps, fp = e.tracePaths(i, Failure{})
 	}
 	if e.bySrc == nil {
 		e.bySrc = make(map[string]srcResult)
@@ -843,61 +757,149 @@ func (e *destEngine) memoOf(i int32) *memoSet {
 	return m
 }
 
-// trace is the loop/deep fallback: it enumerates every forwarding path
-// from the start node with the exact recursive-walker semantics, splicing
-// memoized suffix sets back in wherever that provably matches (node not
-// loopy, depth budget fits, and — by the taint analysis — no suffix can
-// revisit a walk ancestor). Output order is the walker's DFS order,
-// unsorted. Callers hold mu.
-func (e *destEngine) trace(start int32) []Path {
-	var out []Path
-	onStack := make([]bool, len(e.nodes))
-	var walk func(cur int32, hops []string)
-	walk = func(cur int32, hops []string) {
-		if len(out) >= maxTracePaths {
-			return
-		}
-		n := &e.nodes[cur]
-		if !n.loopy && len(hops)+n.maxLen <= maxTraceDepth {
-			m := e.memoOf(cur)
-			for j := range m.status {
-				if len(out) >= maxTracePaths {
-					return
-				}
-				full := make([]string, 0, len(hops)+int(m.length[j]))
-				full = append(full, hops...)
-				full = e.appendSuffix(full, cur, int32(j))
-				out = append(out, Path{Hops: full, Status: m.status[j]})
-			}
-			return
-		}
-		// Otherwise: the seed recursive walk, check for check.
-		hops = append(hops, e.nameAt[cur])
-		if n.kind == deliveredNode {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Delivered})
-			return
-		}
-		if onStack[cur] {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if len(hops) > maxTraceDepth {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if n.kind == blackholeNode {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-			return
-		}
-		onStack[cur] = true
-		for _, s := range n.succ {
-			walk(s, hops)
-		}
-		onStack[cur] = false
-	}
-	walk(start, nil)
-	return out
+// walkSink receives the output of one walk. The walker owns every
+// forwarding rule; a sink only decides what an emitted path is worth.
+type walkSink interface {
+	// path receives one path the walk terminated itself: the hop stack
+	// (node indices, ending at the terminating node) and its status.
+	path(hops []int32, st PathStatus)
+	// splice receives the first min(len, room) DFS-ordered entries of
+	// node i's memoized suffix set, each extending prefix, and returns
+	// how many it took.
+	splice(prefix []int32, i, room int32) int32
+	// stop reports that the sink needs no further paths.
+	stop() bool
 }
+
+// walker is the state of one walk; see walk.
+type walker struct {
+	e       *destEngine
+	f       Failure
+	sink    walkSink
+	onStack []bool
+	hops    []int32
+	emitted int32
+}
+
+// walk enumerates the forwarding paths from start under failure f (zero:
+// none) into sink, in DFS order. It is the engine's one copy of the
+// forwarding semantics:
+//
+//   - successors are explored depth-first in next-hop (succ) order, minus
+//     the transitions f prunes;
+//   - revisiting a node on the current walk, or exceeding maxTraceDepth
+//     hops, emits Looped;
+//   - a node with no route, or whose every successor f prunes, emits
+//     BlackHoled; a failed start emits the single path [start] BlackHoled;
+//   - only the first maxTracePaths paths in DFS order are emitted;
+//   - with no failure, a spliceable node's memoized suffix set stands in
+//     for the walk below it (by the taint analysis no such suffix can
+//     revisit a walk ancestor).
+//
+// Callers hold mu.
+func (e *destEngine) walk(start int32, f Failure, sink walkSink) {
+	if f.Node != "" && e.nameAt[start] == f.Node {
+		sink.path([]int32{start}, BlackHoled)
+		return
+	}
+	w := walker{e: e, f: f, sink: sink}
+	w.visit(start)
+}
+
+func (w *walker) visit(cur int32) {
+	if w.emitted >= maxTracePaths || w.sink.stop() {
+		return
+	}
+	e := w.e
+	if w.f.IsZero() && e.spliceable(cur, len(w.hops)) {
+		w.emitted += w.sink.splice(w.hops, cur, maxTracePaths-w.emitted)
+		return
+	}
+	if w.onStack == nil {
+		w.onStack = make([]bool, len(e.nodes))
+	}
+	w.hops = append(w.hops, cur)
+	n := &e.nodes[cur]
+	switch {
+	case n.kind == deliveredNode:
+		w.emit(Delivered)
+	case w.onStack[cur] || len(w.hops) > maxTraceDepth:
+		w.emit(Looped)
+	case n.kind == blackholeNode:
+		w.emit(BlackHoled)
+	default:
+		w.onStack[cur] = true
+		live := false
+		for _, s := range n.succ {
+			if !w.f.IsZero() && w.f.prunes(e.nameAt[cur], e.nameAt[s]) {
+				continue
+			}
+			live = true
+			w.visit(s)
+		}
+		w.onStack[cur] = false
+		if !live {
+			w.emit(BlackHoled)
+		}
+	}
+	w.hops = w.hops[:len(w.hops)-1]
+}
+
+func (w *walker) emit(st PathStatus) {
+	w.sink.path(w.hops, st)
+	w.emitted++
+}
+
+// pathSink materializes every path of a walk, in walk order.
+type pathSink struct {
+	e   *destEngine
+	out []Path
+}
+
+func (p *pathSink) path(hops []int32, st PathStatus) {
+	p.out = append(p.out, Path{Hops: p.e.appendNames(make([]string, 0, len(hops)), hops), Status: st})
+}
+
+func (p *pathSink) splice(prefix []int32, i, room int32) int32 {
+	m := p.e.memoOf(i)
+	n := min(int32(len(m.status)), room)
+	for j := int32(0); j < n; j++ {
+		hops := p.e.appendNames(make([]string, 0, len(prefix)+int(m.length[j])), prefix)
+		p.out = append(p.out, Path{Hops: p.e.appendSuffix(hops, i, j), Status: m.status[j]})
+	}
+	return n
+}
+
+func (p *pathSink) stop() bool { return false }
+
+// tracePaths walks from start under f with the path sink and returns the
+// canonically sorted paths and their fingerprint. Callers hold mu.
+func (e *destEngine) tracePaths(start int32, f Failure) ([]Path, Digest) {
+	sink := pathSink{e: e}
+	e.walk(start, f, &sink)
+	return sortPathsByKey(sink.out)
+}
+
+// censusSink tracks only whether the walk emitted a Delivered path,
+// splicing spliceable nodes from the delivered census instead of their
+// memos. It stops the walk as soon as delivery is proven: later paths
+// cannot retract it. (The repair loop of Algorithm 2 lives here: noise
+// filters make per-router OSPF choices inconsistent, so the twinned
+// network is full of forwarding loops and most sources are walked.)
+type censusSink struct {
+	e   *destEngine
+	del bool
+}
+
+func (c *censusSink) path(_ []int32, st PathStatus) { c.del = c.del || st == Delivered }
+
+func (c *censusSink) splice(_ []int32, i, room int32) int32 {
+	n := min(c.e.delivInfoOf(i).count, room)
+	c.del = c.del || c.e.deliveredWithin(i, n)
+	return n
+}
+
+func (c *censusSink) stop() bool { return c.del }
 
 // sortPathsByKey orders paths canonically, deriving each Key exactly once
 // (the recursive walker recomputed both keys inside the comparator), and

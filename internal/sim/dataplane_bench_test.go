@@ -10,7 +10,7 @@ import (
 // The extraction benchmarks compare four ways of producing the same
 // DataPlane on the two reference networks:
 //
-//	naive       per-pair recursive walk (the seed algorithm, traceNaive)
+//	naive       per-pair recursive walk (the test oracle, traceNaive)
 //	seq         destination-sharded engine, one worker
 //	par4 /      destination-sharded engine over the worker pool
 //	gomaxprocs
@@ -62,7 +62,7 @@ func BenchmarkExtractDataPlane(b *testing.B) {
 				for _, src := range hosts {
 					for _, dst := range hosts {
 						if src != dst {
-							base.traceNaive(src, dst)
+							base.traceNaive(src, dst, Failure{})
 						}
 					}
 				}

@@ -11,7 +11,7 @@ import (
 )
 
 // These tests pin the destination-sharded engine to the seed per-pair
-// recursive walker (kept as traceNaive): every path set must be
+// recursive walker (traceNaive in oracle_test.go): every path set must be
 // byte-identical — hop for hop, status for status, in canonical order —
 // on the full evaluation catalog, on randomized topologies, on FIBs
 // mutated to contain forwarding loops, black holes, and over-depth
@@ -25,7 +25,7 @@ func naiveDataPlane(s *Snapshot, hosts []string) map[Pair][]Path {
 			if src == dst {
 				continue
 			}
-			out[Pair{Src: src, Dst: dst}] = s.traceNaive(src, dst)
+			out[Pair{Src: src, Dst: dst}] = s.traceNaive(src, dst, Failure{})
 		}
 	}
 	return out
@@ -63,7 +63,7 @@ func assertDataPlaneMatchesNaive(t *testing.T, s *Snapshot, hosts []string, dp *
 		if !samePaths(got, wantPaths) {
 			t.Fatalf("pair %v: engine paths differ from naive walker\n got: %v\nwant: %v", k, got, wantPaths)
 		}
-		if fp := dp.pairDigest(k); fp != digestOfKey(pathSetKey(wantPaths)) {
+		if fp := dp.pairDigest(k); fp != digestOfBytes([]byte(pathSetKey(wantPaths))) {
 			t.Fatalf("pair %v: fingerprint %x != digest of pathSetKey %q", k, fp, pathSetKey(wantPaths))
 		}
 	}
@@ -161,7 +161,7 @@ func TestDataPlaneEngineMatchesNaiveRandom(t *testing.T) {
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
-				want := snap.traceNaive(dev, dst)
+				want := snap.traceNaive(dev, dst, Failure{})
 				if !samePaths(got, want) {
 					t.Fatalf("trial %d: TraceFrom(%s, %s)\n got: %v\nwant: %v", trial, dev, dst, got, want)
 				}
@@ -213,7 +213,7 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
-				want := snap.traceNaive(dev, dst)
+				want := snap.traceNaive(dev, dst, Failure{})
 				if !samePaths(got, want) {
 					t.Fatalf("trial %d: TraceFrom(%s, %s) after FIB corruption\n got: %v\nwant: %v", trial, dev, dst, got, want)
 				}
@@ -253,7 +253,7 @@ func TestDataPlaneEngineDeepPaths(t *testing.T) {
 	for _, dev := range names {
 		for _, dst := range hosts {
 			got := snap.TraceFrom(dev, dst)
-			want := snap.traceNaive(dev, dst)
+			want := snap.traceNaive(dev, dst, Failure{})
 			if !samePaths(got, want) {
 				t.Fatalf("TraceFrom(%s, %s)\n got: %v\nwant: %v", dev, dst, got, want)
 			}

@@ -60,11 +60,12 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 			// Census path: no traces have run for this destination yet.
 			got := snap.DeliveredFrom(dst, devs)
 			for i, dev := range devs {
-				if want := wantDelivered(snap.traceNaive(dev, dst)); got[i] != want {
+				if want := wantDelivered(snap.traceNaive(dev, dst, Failure{})); got[i] != want {
 					t.Fatalf("trial %d: DeliveredFrom(%s)[%s] = %v, want %v (census path)", trial, dst, dev, got[i], want)
 				}
 			}
-			// Cached path: TraceFrom populated bySrc; answers must agree.
+			// Answers must not change once TraceFrom has built memos for
+			// the destination.
 			for _, dev := range devs {
 				snap.TraceFrom(dev, dst)
 			}

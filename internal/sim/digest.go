@@ -27,21 +27,7 @@ import (
 // the empty canonical key.
 type Digest [16]byte
 
-// digestOfKey fingerprints an already-materialized canonical key string.
-// It is the fallback for hand-assembled DataPlanes; the engine paths
-// stream the same bytes without building the string.
-func digestOfKey(key string) Digest {
-	if len(key) == 0 {
-		return Digest{}
-	}
-	sum := sha256.Sum256([]byte(key))
-	var d Digest
-	copy(d[:], sum[:16])
-	return d
-}
-
-// digestOfBytes fingerprints canonical key content accumulated in a
-// reusable scratch buffer.
+// digestOfBytes fingerprints canonical key bytes.
 func digestOfBytes(b []byte) Digest {
 	if len(b) == 0 {
 		return Digest{}
@@ -66,6 +52,22 @@ type PairDigests struct {
 	fps []Digest
 }
 
+// newPairDigests returns an all-zero digest plane over hosts.
+func newPairDigests(hosts []string) *PairDigests {
+	pd := &PairDigests{hosts: hosts, index: make(map[string]int, len(hosts)), fps: make([]Digest, len(hosts)*len(hosts))}
+	for i, h := range hosts {
+		pd.index[h] = i
+	}
+	return pd
+}
+
+// column returns destination hosts[j]'s digests, one per source in hosts
+// order (shared with pd).
+func (pd *PairDigests) column(j int) []Digest {
+	h := len(pd.hosts)
+	return pd.fps[j*h : (j+1)*h]
+}
+
 // Hosts returns the host list the digests cover (shared; read-only).
 func (pd *PairDigests) Hosts() []string { return pd.hosts }
 
@@ -77,7 +79,7 @@ func (pd *PairDigests) Digest(src, dst string) (Digest, bool) {
 	if !oki || !okj {
 		return Digest{}, false
 	}
-	return pd.fps[j*len(pd.hosts)+i], true
+	return pd.column(j)[i], true
 }
 
 // Equal reports whether two digest planes agree on every ordered pair of
@@ -96,7 +98,7 @@ func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 			if i == j {
 				continue
 			}
-			a := pd.fps[j*len(pd.hosts)+i]
+			a := pd.column(j)[i]
 			b, ok := other.Digest(src, dst)
 			if !ok || a != b {
 				out = append(out, Pair{Src: src, Dst: dst})
@@ -137,11 +139,10 @@ func digestColLen(hosts []string) int { return len(hosts) * 16 }
 // seeds PairDigestsForSeeded with the columns of destinations its edit
 // left clean.
 func (pd *PairDigests) ExportColumns() map[string][]byte {
-	h := len(pd.hosts)
-	out := make(map[string][]byte, h)
+	out := make(map[string][]byte, len(pd.hosts))
 	for j, dst := range pd.hosts {
 		col := make([]byte, 0, digestColLen(pd.hosts))
-		for _, d := range pd.fps[j*h : (j+1)*h] {
+		for _, d := range pd.column(j) {
 			col = append(col, d[:]...)
 		}
 		out[dst] = col
@@ -160,18 +161,11 @@ func (pd *PairDigests) ExportColumns() map[string][]byte {
 // extraction, so a stale or partial seed degrades to correct work, not
 // to wrong digests.
 func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) *PairDigests {
-	pd := &PairDigests{
-		hosts: hosts,
-		index: make(map[string]int, len(hosts)),
-		fps:   make([]Digest, len(hosts)*len(hosts)),
-	}
-	for i, h := range hosts {
-		pd.index[h] = i
-	}
+	pd := newPairDigests(hosts)
 	colLen := digestColLen(hosts)
 	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
-		row := pd.fps[j*len(hosts) : (j+1)*len(hosts)]
+		row := pd.column(j)
 		if col, ok := seed[dst]; ok && len(col) == colLen {
 			for i := range row {
 				copy(row[i][:], col[i*16:])
@@ -181,37 +175,18 @@ func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) 
 		}
 		e := s.transientEngineFor(dst)
 		if e == nil {
-			return // unknown destination: zero digests, like Trace's nil
+			return // unknown destination: zero digests, like TraceFrom's nil
 		}
-		var scratch []byte
 		for i, src := range hosts {
-			if src == dst {
-				continue
+			if src != dst {
+				row[i] = e.digestFor(src)
 			}
-			row[i], scratch = e.digestFor(src, scratch)
 		}
 	})
 	return pd
 }
 
-// Digests derives the fingerprint-only view of an already-extracted
-// DataPlane, reusing its precomputed per-pair digests.
-func (dp *DataPlane) Digests(hosts []string) *PairDigests {
-	pd := &PairDigests{
-		hosts: hosts,
-		index: make(map[string]int, len(hosts)),
-		fps:   make([]Digest, len(hosts)*len(hosts)),
-	}
-	for i, h := range hosts {
-		pd.index[h] = i
-	}
-	for j, dst := range hosts {
-		for i, src := range hosts {
-			if i == j {
-				continue
-			}
-			pd.fps[j*len(hosts)+i] = dp.pairDigest(Pair{Src: src, Dst: dst})
-		}
-	}
-	return pd
-}
+// Digests returns the fingerprint-only view of an extracted DataPlane,
+// over the host list it was extracted from (shared; read-only). It is nil
+// for hand-assembled DataPlanes.
+func (dp *DataPlane) Digests() *PairDigests { return dp.digests }

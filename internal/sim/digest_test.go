@@ -43,10 +43,10 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 						}
 					}
 				}
-				if !pd.Equal(dp.Digests(hosts)) {
+				if !pd.Equal(dp.Digests()) {
 					t.Fatalf("par %d: PairDigests not Equal to DataPlane-derived digests", par)
 				}
-				if diff := pd.DiffPairs(dp.Digests(hosts)); len(diff) != 0 {
+				if diff := pd.DiffPairs(dp.Digests()); len(diff) != 0 {
 					t.Fatalf("par %d: unexpected digest diff %v", par, diff)
 				}
 			}

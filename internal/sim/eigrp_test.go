@@ -99,7 +99,7 @@ func TestEIGRPECMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSim(t, cfg)
-	ps := s.Trace("hs", "hd")
+	ps := s.TraceFrom("hs", "hd")
 	if len(ps) != 2 {
 		t.Fatalf("expected 2 equal-metric EIGRP paths, got %v", ps)
 	}

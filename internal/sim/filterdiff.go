@@ -9,8 +9,9 @@ import (
 // FilterDiff summarizes what changed between two filter views of a Net:
 // the set of destination prefixes whose deny decision may have flipped
 // anywhere in the network. InvalidateFilters returns one so callers can
-// re-trace only the destinations a filter mutation can affect (see
-// DataPlaneForDirty) and keep prior results for the rest.
+// re-walk only the destinations a filter mutation can affect
+// (DataPlaneForDirty carries the rest forward from the prior DataPlane;
+// Algorithm 2 re-reads the census only for dirty fake hosts).
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route

@@ -76,7 +76,7 @@ func TestParallelLinks(t *testing.T) {
 	}
 	// The trace still shows a single device-level path (both branches
 	// traverse the same routers).
-	ps := snap.Trace("h1", "h2")
+	ps := snap.TraceFrom("h1", "h2")
 	for _, p := range ps {
 		if p.Status != Delivered {
 			t.Fatalf("bad path %v", p)

@@ -48,7 +48,7 @@ func mustSim(t *testing.T, cfg *config.Network) *Snapshot {
 
 func singleDelivered(t *testing.T, s *Snapshot, src, dst string) Path {
 	t.Helper()
-	ps := s.Trace(src, dst)
+	ps := s.TraceFrom(src, dst)
 	if len(ps) != 1 || ps[0].Status != Delivered {
 		t.Fatalf("Trace(%s,%s) = %v, want one delivered path", src, dst, ps)
 	}
@@ -107,7 +107,7 @@ func TestOSPFECMP(t *testing.T) {
 	b.Link("r1", "r2").Link("r2", "r4").Link("r1", "r3").Link("r3", "r4")
 	b.Host("hs", "r1").Host("hd", "r4")
 	s := mustSim(t, b.MustBuild())
-	ps := s.Trace("hs", "hd")
+	ps := s.TraceFrom("hs", "hd")
 	if len(ps) != 2 {
 		t.Fatalf("expected 2 ECMP paths, got %v", ps)
 	}
@@ -130,7 +130,7 @@ func TestOSPFFakeLinkMatchedCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustSim(t, cfg)
-	ps := s.Trace("h1", "h4")
+	ps := s.TraceFrom("h1", "h4")
 	if len(ps) != 2 {
 		t.Fatalf("expected 2 equal-cost paths after fake link, got %v", ps)
 	}
@@ -320,7 +320,7 @@ func TestStaticRouteLoopDetected(t *testing.T) {
 	cfg.Device("r2").Statics = append(cfg.Device("r2").Statics,
 		config.StaticRoute{Prefix: hd, NextHop: l12.A.Addr})
 	s := mustSim(t, cfg)
-	ps := s.Trace("hs", "hd")
+	ps := s.TraceFrom("hs", "hd")
 	if len(ps) != 1 || ps[0].Status != Looped {
 		t.Fatalf("expected loop, got %v", ps)
 	}
@@ -342,7 +342,7 @@ func TestBlackHoleDetected(t *testing.T) {
 		r1.OSPF.InFilters[local.Iface] = "ALL"
 	}
 	s := mustSim(t, cfg)
-	ps := s.Trace("h1", "h4")
+	ps := s.TraceFrom("h1", "h4")
 	if len(ps) != 1 || ps[0].Status != BlackHoled {
 		t.Fatalf("expected black hole, got %v", ps)
 	}

@@ -69,14 +69,9 @@ const (
 	maxTracePaths = 256
 )
 
-// Trace walks the FIBs from host src toward host dst and returns every
-// forwarding path (ECMP branches explored exhaustively up to
-// maxTracePaths), in canonical sorted order.
-func (s *Snapshot) Trace(src, dst string) []Path { return s.TraceFrom(src, dst) }
-
-// TraceFrom is Trace with an arbitrary starting device (host or router).
-// Algorithm 2 of the paper uses it to check which fake hosts remain
-// reachable *from each router* after noise filters are added.
+// TraceFrom walks the FIBs from start (any device, host or router) toward
+// host dst and returns every forwarding path (ECMP branches explored
+// exhaustively up to maxTracePaths), in canonical sorted order.
 //
 // The walk is served by the Snapshot's per-destination engine (see
 // dataplane.go), so repeated traces toward the same destination — the
@@ -89,61 +84,6 @@ func (s *Snapshot) TraceFrom(start, dst string) []Path {
 	}
 	ps, _ := e.pathsFor(start)
 	return ps
-}
-
-// traceNaive is the seed per-pair recursive walker, kept verbatim (plus
-// the key-once canonical sort) as the differential-testing and
-// benchmarking reference for the memoized engine.
-func (s *Snapshot) traceNaive(start, dst string) []Path {
-	dstPfx, ok := s.Net.HostPrefix[dst]
-	if !ok {
-		return nil
-	}
-	dstAddr := hostAddr(s.Net, dst)
-	var out []Path
-	var walk func(cur string, hops []string, seen map[string]bool)
-	walk = func(cur string, hops []string, seen map[string]bool) {
-		if len(out) >= maxTracePaths {
-			return
-		}
-		hops = append(hops, cur)
-		if cur == dst {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Delivered})
-			return
-		}
-		if seen[cur] {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if len(hops) > maxTraceDepth {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		seen[cur] = true
-		defer delete(seen, cur)
-		fib := s.FIBs[cur]
-		var rt *Route
-		if fib != nil {
-			// Host LANs are the most specific prefixes in our model, so
-			// an exact hit on the destination prefix IS the LPM result;
-			// the linear scan only runs for aggregated/default routes.
-			if exact := fib[dstPfx]; exact != nil {
-				rt = exact
-			} else {
-				rt = fib.Lookup(dstAddr)
-			}
-		}
-		if rt == nil || len(rt.NextHops) == 0 {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-			return
-		}
-		for _, nh := range rt.NextHops {
-			walk(nh.Device, hops, seen)
-		}
-	}
-	walk(start, nil, make(map[string]bool))
-	out, _ = sortPathsByKey(out)
-	return out
 }
 
 // hostAddr returns the host's interface address.
@@ -165,24 +105,23 @@ type Pair struct{ Src, Dst string }
 // per-destination caches: treat them as read-only.
 type DataPlane struct {
 	Pairs map[Pair][]Path
-	// fps holds each pair's canonical path-set fingerprint — the 128-bit
-	// digest of the sorted path keys joined with "\n" (exactly pathSetKey
-	// of the pair's paths) — precomputed at extraction so EqualOver/
-	// DiffPairs/ExactlyKeptFraction compare 16-byte values instead of
-	// re-sorting, and so the DataPlane retains no per-pair key strings.
-	// Nil for hand-assembled DataPlanes, which fall back to hashing
-	// pathSetKey.
-	fps map[Pair]Digest
+	// digests holds each pair's canonical path-set fingerprint (see
+	// Digest), filled at extraction straight from the per-destination
+	// columns, so EqualOver/DiffPairs/ExactlyKeptFraction compare 16-byte
+	// values instead of re-sorting. Nil for hand-assembled DataPlanes,
+	// which fingerprint on demand with sortPathsByKey.
+	digests *PairDigests
 }
 
 // pairDigest returns the pair's canonical path-set fingerprint.
 func (dp *DataPlane) pairDigest(k Pair) Digest {
-	if dp.fps != nil {
-		if fp, ok := dp.fps[k]; ok {
+	if dp.digests != nil {
+		if fp, ok := dp.digests.Digest(k.Src, k.Dst); ok {
 			return fp
 		}
 	}
-	return digestOfKey(pathSetKey(dp.Pairs[k]))
+	_, fp := sortPathsByKey(dp.Pairs[k])
+	return fp
 }
 
 // ExtractDataPlane traces every ordered pair of hosts in the network.
@@ -195,7 +134,7 @@ func (s *Snapshot) ExtractDataPlane() *DataPlane {
 // is sharded by destination over the Snapshot's worker pool; results land
 // in index-addressed slots, so the output is identical at any parallelism.
 func (s *Snapshot) DataPlaneFor(hosts []string) *DataPlane {
-	return s.dataPlaneFor(hosts, nil, nil)
+	return s.DataPlaneForDirty(hosts, nil, nil)
 }
 
 // DataPlaneForDirty is DataPlaneFor carrying forward prior results: pairs
@@ -205,25 +144,13 @@ func (s *Snapshot) DataPlaneFor(hosts []string) *DataPlane {
 // per-destination FIB independence invariant documented in
 // InvalidateFilters.
 func (s *Snapshot) DataPlaneForDirty(hosts []string, prev *DataPlane, diff *FilterDiff) *DataPlane {
-	if prev == nil {
-		return s.dataPlaneFor(hosts, nil, nil)
-	}
-	return s.dataPlaneFor(hosts, prev, diff)
-}
-
-// dpColumn is one destination's column of the data plane: the paths and
-// fingerprints from every source in host-list order (the src==dst slot
-// stays nil).
-type dpColumn struct {
-	paths [][]Path
-	fps   []Digest
-}
-
-func (s *Snapshot) dataPlaneFor(hosts []string, prev *DataPlane, diff *FilterDiff) *DataPlane {
-	cols := make([]dpColumn, len(hosts))
+	pd := newPairDigests(hosts)
+	// cols[j][i] holds the paths of Pair{hosts[i], hosts[j]}, laid out
+	// like pd's digest columns.
+	cols := make([][][]Path, len(hosts))
 	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
-		col := dpColumn{paths: make([][]Path, len(hosts)), fps: make([]Digest, len(hosts))}
+		paths, fps := make([][]Path, len(hosts)), pd.column(j)
 		reuse := prev != nil && !diff.Affects(s.Net.HostPrefix[dst])
 		var e *destEngine
 		for i, src := range hosts {
@@ -233,45 +160,28 @@ func (s *Snapshot) dataPlaneFor(hosts []string, prev *DataPlane, diff *FilterDif
 			k := Pair{Src: src, Dst: dst}
 			if reuse {
 				if ps, ok := prev.Pairs[k]; ok {
-					col.paths[i] = ps
-					col.fps[i] = prev.pairDigest(k)
+					paths[i], fps[i] = ps, prev.pairDigest(k)
 					continue
 				}
 			}
 			if e == nil {
-				e = s.engineFor(dst)
-				if e == nil {
-					// Unknown destination: nil paths, like Trace.
-					break
+				if e = s.engineFor(dst); e == nil {
+					break // unknown destination: nil paths, like TraceFrom
 				}
 			}
-			col.paths[i], col.fps[i] = e.pathsFor(src)
+			paths[i], fps[i] = e.pathsFor(src)
 		}
-		cols[j] = col
+		cols[j] = paths
 	})
-	n := len(hosts) * (len(hosts) - 1)
-	dp := &DataPlane{Pairs: make(map[Pair][]Path, n), fps: make(map[Pair]Digest, n)}
+	dp := &DataPlane{Pairs: make(map[Pair][]Path, len(hosts)*len(hosts)), digests: pd}
 	for j, dst := range hosts {
 		for i, src := range hosts {
-			if src == dst {
-				continue
+			if src != dst {
+				dp.Pairs[Pair{Src: src, Dst: dst}] = cols[j][i]
 			}
-			k := Pair{Src: src, Dst: dst}
-			dp.Pairs[k] = cols[j].paths[i]
-			dp.fps[k] = cols[j].fps[i]
 		}
 	}
 	return dp
-}
-
-// pathSetKey canonicalizes a path list for equality checks.
-func pathSetKey(ps []Path) string {
-	keys := make([]string, 0, len(ps))
-	for _, p := range ps {
-		keys = append(keys, p.Key())
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
 }
 
 // EqualOver reports whether two data planes agree on every ordered pair of

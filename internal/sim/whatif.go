@@ -81,7 +81,7 @@ func (f Failure) prunes(cur, next string) bool {
 // TraceUnderFailure walks the FIBs from start toward host dst with a
 // single failed element pruned from the forwarding graph. FIBs are the
 // pre-failure ones (see the failure model above). Semantics relative to
-// Trace:
+// TraceFrom:
 //
 //   - a device whose every surviving next hop is pruned black-holes the
 //     walk there (the packet has nowhere live to go);
@@ -133,7 +133,7 @@ func (e *destEngine) pathsUnderFailure(src string, f Failure) ([]Path, Digest) {
 		ps, fp = e.pathsForLocked(src)
 		e.snap.whatIfReused.Add(1)
 	} else {
-		ps, fp = sortPathsByKey(e.traceFail(i, f))
+		ps, fp = e.tracePaths(i, f)
 		e.snap.whatIfRetraced.Add(1)
 	}
 	if e.failRes == nil {
@@ -169,56 +169,4 @@ func (e *destEngine) failureReaches(start int32, f Failure) bool {
 		}
 	}
 	return false
-}
-
-// traceFail enumerates every forwarding path from start with the failed
-// element pruned, using the exact recursive-walker semantics (DFS in
-// next-hop order, maxTraceDepth / maxTracePaths truncation). Output order
-// is DFS order, unsorted. Callers hold mu.
-func (e *destEngine) traceFail(start int32, f Failure) []Path {
-	if f.Node != "" && e.nameAt[start] == f.Node {
-		return []Path{{Hops: []string{f.Node}, Status: BlackHoled}}
-	}
-	var out []Path
-	onStack := make([]bool, len(e.nodes))
-	var walk func(cur int32, hops []string)
-	walk = func(cur int32, hops []string) {
-		if len(out) >= maxTracePaths {
-			return
-		}
-		n := &e.nodes[cur]
-		name := e.nameAt[cur]
-		hops = append(hops, name)
-		if n.kind == deliveredNode {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Delivered})
-			return
-		}
-		if onStack[cur] {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if len(hops) > maxTraceDepth {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if n.kind == blackholeNode {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-			return
-		}
-		onStack[cur] = true
-		live := 0
-		for _, s := range n.succ {
-			if f.prunes(name, e.nameAt[s]) {
-				continue
-			}
-			live++
-			walk(s, hops)
-		}
-		onStack[cur] = false
-		if live == 0 {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-		}
-	}
-	walk(start, nil)
-	return out
 }

@@ -7,71 +7,6 @@ import (
 	"confmask/internal/netgen"
 )
 
-// traceFailNaive is the reference what-if walker: the seed recursive
-// walker with the failed element pruned — transitions into a failed node
-// or across a failed link are skipped, and a device left with no live
-// next hop black-holes the walk there. Kept independent of the engine so
-// the differential tests pin TraceUnderFailure against it.
-func traceFailNaive(s *Snapshot, start, dst string, f Failure) []Path {
-	dstPfx, ok := s.Net.HostPrefix[dst]
-	if !ok {
-		return nil
-	}
-	if f.Node == start {
-		return []Path{{Hops: []string{start}, Status: BlackHoled}}
-	}
-	dstAddr := hostAddr(s.Net, dst)
-	var out []Path
-	var walk func(cur string, hops []string, seen map[string]bool)
-	walk = func(cur string, hops []string, seen map[string]bool) {
-		if len(out) >= maxTracePaths {
-			return
-		}
-		hops = append(hops, cur)
-		if cur == dst {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Delivered})
-			return
-		}
-		if seen[cur] {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		if len(hops) > maxTraceDepth {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
-			return
-		}
-		fib := s.FIBs[cur]
-		var rt *Route
-		if fib != nil {
-			if exact := fib[dstPfx]; exact != nil {
-				rt = exact
-			} else {
-				rt = fib.Lookup(dstAddr)
-			}
-		}
-		if rt == nil || len(rt.NextHops) == 0 {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-			return
-		}
-		seen[cur] = true
-		defer delete(seen, cur)
-		live := 0
-		for _, nh := range rt.NextHops {
-			if f.prunes(cur, nh.Device) {
-				continue
-			}
-			live++
-			walk(nh.Device, hops, seen)
-		}
-		if live == 0 {
-			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
-		}
-	}
-	walk(start, nil, make(map[string]bool))
-	out, _ = sortPathsByKey(out)
-	return out
-}
-
 // randomFailures samples node and link failures covering every link plus a
 // handful of node failures (routers and hosts).
 func randomFailures(cfg interface{ Names() []string }, links []*Link, rng *rand.Rand) []Failure {
@@ -104,7 +39,7 @@ func TestWhatIfMatchesNaiveRandom(t *testing.T) {
 			for _, dev := range cfg.Names() {
 				for _, dst := range hosts {
 					got := snap.TraceUnderFailure(dev, dst, f)
-					want := traceFailNaive(snap, dev, dst, f)
+					want := snap.traceNaive(dev, dst, f)
 					if !samePaths(got, want) {
 						t.Fatalf("trial %d: TraceUnderFailure(%s, %s, %v)\n got: %v\nwant: %v",
 							trial, dev, dst, f, got, want)
@@ -155,7 +90,7 @@ func TestWhatIfMatchesNaiveCorrupted(t *testing.T) {
 			for _, dev := range cfg.Names() {
 				for _, dst := range hosts {
 					got := snap.TraceUnderFailure(dev, dst, f)
-					want := traceFailNaive(snap, dev, dst, f)
+					want := snap.traceNaive(dev, dst, f)
 					if !samePaths(got, want) {
 						t.Fatalf("trial %d: corrupted TraceUnderFailure(%s, %s, %v)\n got: %v\nwant: %v",
 							trial, dev, dst, f, got, want)
