@@ -92,6 +92,12 @@ func main() {
 		log.Printf("FAULT INJECTION ARMED: %s", *faultSpec)
 	}
 
+	// Install the handler before anything announces the daemon: a
+	// supervisor may send SIGTERM the moment "listening on" appears, and
+	// a signal arriving before Notify would kill the process undrained.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+
 	svc, err := service.Open(service.Config{
 		Workers:       *workers,
 		QueueDepth:    *queue,
@@ -150,8 +156,6 @@ func main() {
 		errc <- httpSrv.Serve(ln)
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Printf("received %v, draining (running jobs get %v)", sig, *drainTimeout)

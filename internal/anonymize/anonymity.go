@@ -22,8 +22,8 @@ import (
 //
 // It returns the fake host names and the number of noise filters kept.
 // Cancellation is observed between repair rounds (each costs a filter
-// re-derivation plus dirty re-traces), the same granularity as
-// Algorithm 1's per-iteration checks.
+// re-derivation, a delta re-simulation of the dirty prefixes and their
+// re-traces), the same granularity as Algorithm 1's per-iteration checks.
 func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool, base *baseline, opts Options, rng *rand.Rand) ([]string, int, error) {
 	kH, p := opts.KH, opts.NoiseP
 	gw := base.snap.Net.GatewayOf
@@ -76,14 +76,19 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	snap := sim.SimulateNetOpts(view, opts.simOpts())
 
 	// Noise pass: per FIB entry for a fake destination, per next hop, flip
-	// a p-coin and deny.
+	// a p-coin and deny. The records are indexed by (router, prefix), each
+	// key's list in the order the pass added them, so a repair touches
+	// only the records it can remove; kept counts the records standing.
 	type rec struct {
-		router string
-		nh     sim.NextHop
-		pfx    netip.Prefix
-		src    sim.Source
+		nh  sim.NextHop
+		src sim.Source
 	}
-	var recs []rec
+	type recKey struct {
+		router string
+		pfx    netip.Prefix
+	}
+	recs := make(map[recKey][]rec)
+	kept := 0
 	for _, r := range out.Routers() {
 		fib := snap.FIB(r)
 		if fib == nil {
@@ -99,7 +104,9 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 					continue
 				}
 				if addFilter(out, snap.Net, r, nh, rt.Prefix, rt.Source) {
-					recs = append(recs, rec{router: r, nh: nh, pfx: rt.Prefix, src: rt.Source})
+					k := recKey{router: r, pfx: rt.Prefix}
+					recs[k] = append(recs[k], rec{nh: nh, src: rt.Source})
+					kept++
 				}
 			}
 		}
@@ -131,7 +138,7 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	groups, _ := anonymityGroups(view, fakeHosts, gw, realOf, opts.KR)
 	workers := opts.simOpts().Workers()
 	broken := make(map[string]bool)
-	for round := 0; round <= len(recs); round++ {
+	for round := 0; round <= kept; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
@@ -182,27 +189,30 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 				}
 				brokenAny = true
 				broken[fh] = true
-				kept := recs[:0]
-				for _, rc := range recs {
-					if rc.router == r && rc.pfx == fakePrefix[fh] {
-						if removeFilterDeny(out, snap.Net, rc.router, rc.nh, rc.pfx, rc.src) {
-							removedAny = true
-							continue
-						}
+				k := recKey{router: r, pfx: fakePrefix[fh]}
+				rs := recs[k]
+				left := rs[:0]
+				for _, rc := range rs {
+					if removeFilterDeny(out, snap.Net, r, rc.nh, k.pfx, rc.src) {
+						removedAny = true
+						kept--
+						continue
 					}
-					kept = append(kept, rc)
+					left = append(left, rc)
 				}
-				recs = kept
+				if len(left) < len(rs) {
+					recs[k] = left
+				}
 			}
 		}
 		if !brokenAny {
-			return fakeHosts, len(recs), nil
+			return fakeHosts, kept, nil
 		}
 		if !removedAny {
 			return nil, 0, fmt.Errorf("route anonymity: unreachable fake host with no local filter to remove")
 		}
 	}
-	return fakeHosts, len(recs), nil
+	return fakeHosts, kept, nil
 }
 
 // anonymityGroups shards the fake hosts for the repair loop's phase-1

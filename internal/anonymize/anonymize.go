@@ -388,9 +388,9 @@ type baseline struct {
 	dests []netip.Prefix
 	// external is the subset of dests that are equivalence classes.
 	external []netip.Prefix
-	// nextHops[r][destPrefixString] is the set of original next-hop
-	// devices of router r for a destination.
-	nextHops map[string]map[string]map[string]bool
+	// nextHops[r][dest] is the set of original next-hop devices of
+	// router r for a destination prefix.
+	nextHops map[string]map[netip.Prefix]map[string]bool
 }
 
 func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string][]byte) (*baseline, error) {
@@ -405,20 +405,20 @@ func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string
 		dpCols:   digestSeed,
 		hosts:    cfg.Hosts(),
 		external: snap.Net.ExternalDestinations(),
-		nextHops: make(map[string]map[string]map[string]bool),
+		nextHops: make(map[string]map[netip.Prefix]map[string]bool),
 	}
 	for _, h := range b.hosts {
 		b.dests = append(b.dests, snap.Net.HostPrefix[h])
 	}
 	b.dests = append(b.dests, b.external...)
 	for _, r := range cfg.Routers() {
-		idx := make(map[string]map[string]bool)
+		idx := make(map[netip.Prefix]map[string]bool, len(b.dests))
 		for _, p := range b.dests {
 			set := make(map[string]bool)
 			for _, nh := range snap.NextHopRouters(r, p) {
 				set[nh] = true
 			}
-			idx[p.String()] = set
+			idx[p] = set
 		}
 		b.nextHops[r] = idx
 	}

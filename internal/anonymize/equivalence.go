@@ -189,7 +189,9 @@ func sanitize(s string) string {
 // The network view is built once and reused: the loop only adds
 // distribute-list entries, so each iteration re-derives just the filter
 // view (InvalidateFilters) instead of repeating link discovery, SPF, and
-// BGP session discovery.
+// BGP session discovery, and its simulation recomputes only the prefixes
+// the previous iteration's new filters deny (a delta over the view's
+// previous simulation).
 func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, opts Options) (int, int, error) {
 	filters := 0
 	view, err := sim.Build(out)
@@ -235,7 +237,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 					continue
 				}
 				for _, nh := range rt.NextHops {
-					if orig[p.String()][nh.Device] {
+					if orig[p][nh.Device] {
 						continue // an original next hop
 					}
 					if base.topo.HasEdge(r, nh.Device) {
@@ -269,8 +271,8 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 			for _, r := range base.cfg.Routers() {
 				for _, p := range base.external {
 					got := snap.NextHopRouters(r, p)
-					want := make([]string, 0, len(base.nextHops[r][p.String()]))
-					for nh := range base.nextHops[r][p.String()] {
+					want := make([]string, 0, len(base.nextHops[r][p]))
+					for nh := range base.nextHops[r][p] {
 						want = append(want, nh)
 					}
 					sort.Strings(want)

@@ -313,12 +313,7 @@ func (n *Net) routerReaches(igp *ospfState, r string, p netip.Prefix) bool {
 			return true
 		}
 	}
-	if t, ok := igp.routes[r]; ok {
-		if _, ok := t[p]; ok {
-			return true
-		}
-	}
-	return false
+	return igp.route(r, p) != nil
 }
 
 func containsAS(path []int, as int) bool {
@@ -355,12 +350,15 @@ func adjInEqual(a, b map[string]map[string]map[netip.Prefix]bgpRoute) bool {
 	return true
 }
 
-// bgpFIBRoutes converts converged BGP bests into FIB routes for router r.
-func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string) []*Route {
+// bgpFIBRoutes converts converged BGP bests into FIB routes for router r,
+// for the prefixes stale marks.
+func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string, stale *FilterDiff) []*Route {
 	var out []*Route
 	for p, rt := range st.best[r] {
-		if rt.peer == "" {
-			continue // locally originated; connected/IGP covers forwarding
+		if rt.peer == "" || !stale.marks(p) {
+			// Locally originated (connected/IGP covers forwarding), or
+			// carried forward from the previous simulation.
+			continue
 		}
 		if !rt.fromIBGP {
 			// eBGP: forward directly to the session peer.

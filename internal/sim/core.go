@@ -50,8 +50,10 @@ type ospfCore struct {
 	fwd *csrGraph
 	// dist is the all-pairs SPF view with on-demand destination rows.
 	dist *DistMatrix
-	// prefixes is every prefix advertised into OSPF, sorted.
+	// prefixes is every prefix advertised into OSPF, sorted; pidx is the
+	// inverse (prefix → row index of the OSPF route rows).
 	prefixes []netip.Prefix
+	pidx     map[netip.Prefix]int32
 	// advs[p] lists the stub-prefix advertisements for p.
 	advs map[netip.Prefix][]adv
 }
@@ -152,6 +154,10 @@ func (n *Net) buildOSPFCore() *ospfCore {
 		}
 	}
 	c.prefixes = sortedPrefixes(c.advs)
+	c.pidx = make(map[netip.Prefix]int32, len(c.prefixes))
+	for pi, p := range c.prefixes {
+		c.pidx[p] = int32(pi)
+	}
 	return c
 }
 

@@ -11,7 +11,10 @@ import (
 // anywhere in the network. InvalidateFilters returns one so callers can
 // re-walk only the destinations a filter mutation can affect
 // (DataPlaneForDirty carries the rest forward from the prior DataPlane;
-// Algorithm 2 re-reads the census only for dirty fake hosts).
+// Algorithm 2 re-reads the census only for dirty fake hosts). The Net
+// keeps the union of the diffs since its last simulation too: the next
+// SimulateNet recomputes only the OSPF rows and FIB entries of the
+// prefixes that union marks, and carries every other entry forward.
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route
@@ -22,7 +25,8 @@ import (
 // entries whose prefix is in P, so a trace toward destination d can only
 // change when some prefix in P overlaps d's LAN prefix. The property
 // tests in dataplane_test.go exercise this end to end against full
-// re-extraction.
+// re-extraction, and delta_test.go pins delta re-simulation against a
+// fresh Build.
 //
 // The diff is conservative: ranged (`le`) rule changes and attachment
 // changes of ranged lists mark everything dirty, and a nil *FilterDiff
@@ -60,6 +64,29 @@ func (d *FilterDiff) Prefixes() []netip.Prefix {
 		return nil
 	}
 	return sortedPrefixes(d.prefixes)
+}
+
+// marks reports whether a route for prefix p may have changed: the
+// exact-prefix test FIB entries need, since a deny decision for p is the
+// decision recorded under p's masked form (see Net.denies).
+func (d *FilterDiff) marks(p netip.Prefix) bool {
+	return d.All() || d.prefixes[p.Masked()]
+}
+
+// union returns a diff marking everything d or o marks. Neither operand
+// is modified: callers may still hold both.
+func (d *FilterDiff) union(o *FilterDiff) *FilterDiff {
+	if d.All() || o.All() {
+		return &FilterDiff{all: true}
+	}
+	u := &FilterDiff{}
+	for p := range d.prefixes {
+		u.mark(p)
+	}
+	for p := range o.prefixes {
+		u.mark(p)
+	}
+	return u
 }
 
 func (d *FilterDiff) markAll() { d.all = true }

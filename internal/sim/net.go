@@ -95,6 +95,49 @@ type Net struct {
 	// InvalidateFilters. See simCore.
 	coreOnce sync.Once
 	core     *simCore
+
+	// last is the filter-dependent result of the most recent simulation
+	// and stale the union of the FilterDiffs InvalidateFilters returned
+	// since; the next SimulateNet recomputes only what stale marks (all
+	// of it when last is nil). Guarded by lastMu, so simulations of one
+	// Net may run concurrently.
+	lastMu sync.Mutex
+	last   *simResult
+	stale  *FilterDiff
+}
+
+// simResult is what a simulation leaves for the next one on the same Net:
+// the OSPF rows by prefix and every device's FIB in Cfg.Names() order.
+// Both are shared with the Snapshot that produced them and with later
+// delta results, so neither is ever written after it is published.
+type simResult struct {
+	ospfRows [][]*Route
+	fibs     []FIB
+}
+
+// lastResult returns the remembered result and the diff accumulated
+// since it. A Net never simulated returns nil and an All() diff: stale
+// starts nil and only remember makes it narrower.
+func (n *Net) lastResult() (*simResult, *FilterDiff) {
+	n.lastMu.Lock()
+	defer n.lastMu.Unlock()
+	return n.last, n.stale
+}
+
+// fib returns device i's remembered FIB (nil on a nil result).
+func (r *simResult) fib(i int) FIB {
+	if r == nil {
+		return nil
+	}
+	return r.fibs[i]
+}
+
+// remember publishes a finished simulation's result: nothing is stale
+// relative to it until the next InvalidateFilters.
+func (n *Net) remember(r *simResult) {
+	n.lastMu.Lock()
+	defer n.lastMu.Unlock()
+	n.last, n.stale = r, &FilterDiff{}
 }
 
 // listEval is the precomputed evaluation of one (device, prefix-list)
@@ -187,17 +230,25 @@ func compileList(pl *config.PrefixList) *listEval {
 // The returned FilterDiff reports which destination prefixes may see a
 // different deny decision than under the previous view; pass it to
 // Snapshot.DataPlaneForDirty to re-trace only affected destinations.
-// Ignoring the result is always safe.
+// Ignoring the result is always safe: the Net also folds it into the set
+// of prefixes its next SimulateNet recomputes. A filter edit without a
+// following InvalidateFilters is invisible to the Net — the next
+// SimulateNet carries every prefix forward from the previous one, so
+// every prefix the edit touches stays stale.
 //
 // Not safe concurrently with a running SimulateNet on the same Net.
 func (n *Net) InvalidateFilters() *FilterDiff {
 	old := n.filterState
 	n.buildDenyCache()
 	n.filterState = n.captureFilterState()
-	if old == nil {
-		return &FilterDiff{all: true}
+	diff := &FilterDiff{all: true}
+	if old != nil {
+		diff = diffFilterStates(old, n.filterState)
 	}
-	return diffFilterStates(old, n.filterState)
+	n.lastMu.Lock()
+	n.stale = n.stale.union(diff)
+	n.lastMu.Unlock()
+	return diff
 }
 
 // Build derives the simulation view from configurations. It returns an

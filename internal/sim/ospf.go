@@ -44,8 +44,32 @@ type ospfState struct {
 	t *interner
 	// fwd is the directed cost graph over OSPF adjacencies.
 	fwd *csrGraph
-	// routes[r][p] is the OSPF route of router r to prefix p.
-	routes map[string]map[netip.Prefix]*Route
+	// pidx maps an advertised prefix to its row index (the core's).
+	pidx map[netip.Prefix]int32
+	// rows[pi][si] is speaker si's OSPF route to prefix pi, nil when it
+	// has none. Clean rows are the previous simulation's, shared.
+	rows [][]*Route
+	// dirty lists the row indices this run recomputed, ascending.
+	dirty []int32
+}
+
+// speaker returns r's interned speaker index; ok is false when r does
+// not run OSPF.
+func (st *ospfState) speaker(r string) (int32, bool) {
+	if st.t == nil {
+		return 0, false
+	}
+	return st.t.id(r)
+}
+
+// route returns router r's OSPF route to p, or nil.
+func (st *ospfState) route(r string, p netip.Prefix) *Route {
+	pi, okp := st.pidx[p]
+	si, okr := st.speaker(r)
+	if !okp || !okr {
+		return nil
+	}
+	return st.rows[pi][si]
 }
 
 // ospfRowPool recycles the per-prefix distance rows runOSPF streams: one
@@ -68,36 +92,37 @@ func getOSPFRow(n int) []int32 {
 
 func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
 
-// runOSPF computes OSPF routes for every OSPF-speaking router. The
-// link-state view (interned cost graph, SPF distance rows) comes from the
-// Net's cached core; only the filter-dependent route tables are
-// recomputed.
+// runOSPF computes the OSPF route rows: one per advertised prefix, one
+// slot per speaker. The link-state view (interned cost graph, SPF
+// distance rows) comes from the Net's cached core; only the rows of the
+// prefixes stale marks are recomputed, the others are last's (last nil:
+// every row is recomputed).
 //
-// The computation is destination-sharded: for each advertised prefix, a
+// The computation is destination-sharded: for each recomputed prefix, a
 // pooled dense []int32 row of per-router distances to the prefix is
 // streamed from the DistMatrix (min over the prefix's advertisers of the
-// distance-to-advertiser row plus the advertising cost — exactly the old
-// distP result, computed per shard and released when the shard finishes),
-// and every speaker's candidate selection reads that row by interned
-// neighbor id. A final router-sharded pass gathers each router's column
-// into its route table. Both passes write index-addressed slots, so the
-// output is identical at any worker count.
+// distance-to-advertiser row plus the advertising cost), and every
+// speaker's candidate selection reads that row by interned neighbor id.
+// Each shard writes its own row slot, so the output is identical at any
+// worker count.
 //
 // Filters (distribute-list in on an interface) remove the corresponding
 // next-hop candidates at RIB-installation time on the filtering router
 // only; the link-state database itself is unaffected, matching IOS
 // semantics and the "edge is rejected" clause of the paper's SFE
 // conditions for link-state protocols.
-func (n *Net) runOSPF(workers int) *ospfState {
+func (n *Net) runOSPF(workers int, last *simResult, stale *FilterDiff) *ospfState {
 	core := n.coreFor(workers)
 	oc := core.ospf
-	st := &ospfState{
-		dist:   oc.dist,
-		t:      oc.t,
-		fwd:    oc.fwd,
-		routes: make(map[string]map[netip.Prefix]*Route, len(oc.speakers)),
+	st := &ospfState{dist: oc.dist, t: oc.t, fwd: oc.fwd, pidx: oc.pidx, rows: make([][]*Route, len(oc.prefixes))}
+	for pi, p := range oc.prefixes {
+		if last != nil && !stale.marks(p) {
+			st.rows[pi] = last.ospfRows[pi]
+			continue
+		}
+		st.dirty = append(st.dirty, int32(pi))
 	}
-	if len(oc.speakers) == 0 {
+	if len(st.dirty) == 0 {
 		return st
 	}
 
@@ -139,9 +164,8 @@ func (n *Net) runOSPF(workers int) *ospfState {
 	})
 
 	// Destination-sharded candidate selection.
-	P := len(oc.prefixes)
-	routesByPrefix := make([][]*Route, P)
-	forEachIndex(workers, P, func(pi int) {
+	forEachIndex(workers, len(st.dirty), func(k int) {
+		pi := st.dirty[k]
 		p := oc.prefixes[pi]
 		dp := getOSPFRow(oc.t.size())
 		for _, a := range oc.advs[p] {
@@ -206,23 +230,8 @@ func (n *Net) runOSPF(workers int) *ospfState {
 			}
 		}
 		putOSPFRow(dp)
-		routesByPrefix[pi] = out
+		st.rows[pi] = out
 	})
-
-	// Router-sharded gather: each router's column becomes its table.
-	tables := make([]map[netip.Prefix]*Route, S)
-	forEachIndex(workers, S, func(si int) {
-		table := make(map[netip.Prefix]*Route)
-		for pi, p := range oc.prefixes {
-			if rt := routesByPrefix[pi][si]; rt != nil {
-				table[p] = rt
-			}
-		}
-		tables[si] = table
-	})
-	for i, r := range oc.speakers {
-		st.routes[r] = tables[i]
-	}
 	return st
 }
 

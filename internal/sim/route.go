@@ -133,6 +133,11 @@ func (f FIB) Prefixes() []netip.Prefix {
 
 // Snapshot is the result of simulating a configuration set: the derived
 // network view and every router's FIB.
+//
+// FIBs, and the Routes they hold, are read-only. A later simulation of
+// the same Net is a delta over this one: it shares every FIB it does not
+// need to change, and every Route of a prefix no FilterDiff marked since,
+// so an edit made through one Snapshot would surface in the next.
 type Snapshot struct {
 	Net  *Net
 	FIBs map[string]FIB
