@@ -178,6 +178,33 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateAnonymized measures Build+SimulateNetOpts on anonymized
+// outputs, where the fixing loop's and Algorithm 2's distribute-lists make
+// the route computation filter-heavy: FatTree08 (no fake links, one
+// fixing iteration) and MultiRegion10x30 (fake links and their filters).
+// Each network is anonymized once, at the default parameters and seed 1,
+// before the timer starts.
+func BenchmarkSimulateAnonymized(b *testing.B) {
+	for _, name := range []string{"FatTree08", "MultiRegion10x30"} {
+		b.Run(name, func(b *testing.B) {
+			spec, err := netgen.ByID(name)
+			benchErr(b, err)
+			cfg, err := spec.Build()
+			benchErr(b, err)
+			opts := anonymize.DefaultOptions()
+			opts.Seed = 1
+			anon, _, err := anonymize.Run(cfg, opts)
+			benchErr(b, err)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				view, err := sim.Build(anon)
+				benchErr(b, err)
+				sim.SimulateNetOpts(view, sim.Options{})
+			}
+		})
+	}
+}
+
 // parVariants are the worker-pool settings the parallelism benchmarks
 // compare: 1 is the plain sequential engine, 0 lets the pool size follow
 // GOMAXPROCS, and 4 pins a fixed fan-out so numbers are comparable across
@@ -232,7 +259,7 @@ func BenchmarkSimulateParallelism(b *testing.B) {
 // InvalidateFilters that finds no filter edit: one Build, then
 // per-iteration InvalidateFilters + SimulateNet. Simulations are deltas
 // over the Net's previous result, so this times an empty delta — the
-// filter-independent core reused, every OSPF row and FIB entry carried
+// filter-independent core reused, every OSPF row and route column carried
 // forward, only RIP, EIGRP and BGP reconverged.
 // BenchmarkSimulateIncrementalOneDeny times the delta Algorithm 1 and
 // Algorithm 2 actually pay, and BenchmarkSimulateParallelism/seq the full
@@ -256,7 +283,7 @@ func BenchmarkSimulateIncremental(b *testing.B) {
 // with one filter edit per iteration: a deny of one host prefix on one
 // router's OSPF interface list, added and removed on alternate
 // iterations, so every delta recomputes that prefix's OSPF row and
-// re-merges it into every FIB.
+// rebuilds its route column.
 func BenchmarkSimulateIncrementalOneDeny(b *testing.B) {
 	for _, net := range parNetworks(b) {
 		b.Run(net.name, func(b *testing.B) {

@@ -90,12 +90,8 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	recs := make(map[recKey][]rec)
 	kept := 0
 	for _, r := range out.Routers() {
-		fib := snap.FIB(r)
-		if fib == nil {
-			continue
-		}
 		for _, fh := range fakeHosts {
-			rt := fib[fakePrefix[fh]]
+			rt := snap.Route(r, fakePrefix[fh])
 			if rt == nil || rt.Source == sim.SrcConnected || rt.Source == sim.SrcStatic {
 				continue
 			}
@@ -115,8 +111,11 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	// Repair pass: while some fake host that should be reachable from a
 	// router is not, remove the local noise filters for it there. Every
 	// black-hole point necessarily holds a local filter (only filters
-	// remove candidates), so each round removes at least one record and
-	// the loop terminates.
+	// remove candidates), so each round either returns or removes at
+	// least one record, and the loop terminates. Its bound is the record
+	// count before the first round: by then the last round to start has
+	// no record left to remove, so every way out of the loop re-checked
+	// the network after the last removal.
 	//
 	// Each round only re-checks dirty destinations: InvalidateFilters
 	// reports which prefixes had deny decisions change since the previous
@@ -138,7 +137,8 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	groups, _ := anonymityGroups(view, fakeHosts, gw, realOf, opts.KR)
 	workers := opts.simOpts().Workers()
 	broken := make(map[string]bool)
-	for round := 0; round <= kept; round++ {
+	records := kept
+	for round := 0; round <= records; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
@@ -212,7 +212,7 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 			return nil, 0, fmt.Errorf("route anonymity: unreachable fake host with no local filter to remove")
 		}
 	}
-	return fakeHosts, kept, nil
+	return nil, 0, fmt.Errorf("route anonymity: repair did not converge within %d rounds", records+1)
 }
 
 // anonymityGroups shards the fake hosts for the repair loop's phase-1

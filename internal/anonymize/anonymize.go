@@ -357,8 +357,8 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 }
 
 // baseline is the preprocessed view of the original network Algorithm 1
-// compares against: its topology (edge set E), data plane, and the
-// DP[r, dest] next-hop index.
+// compares against: its topology (edge set E), its data plane, and its
+// FIBs (snap.Route(r, dest) is DP[r, dest], the original next hops).
 type baseline struct {
 	cfg  *config.Network
 	snap *sim.Snapshot
@@ -388,9 +388,6 @@ type baseline struct {
 	dests []netip.Prefix
 	// external is the subset of dests that are equivalence classes.
 	external []netip.Prefix
-	// nextHops[r][dest] is the set of original next-hop devices of
-	// router r for a destination prefix.
-	nextHops map[string]map[netip.Prefix]map[string]bool
 }
 
 func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string][]byte) (*baseline, error) {
@@ -405,23 +402,11 @@ func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string
 		dpCols:   digestSeed,
 		hosts:    cfg.Hosts(),
 		external: snap.Net.ExternalDestinations(),
-		nextHops: make(map[string]map[netip.Prefix]map[string]bool),
 	}
 	for _, h := range b.hosts {
 		b.dests = append(b.dests, snap.Net.HostPrefix[h])
 	}
 	b.dests = append(b.dests, b.external...)
-	for _, r := range cfg.Routers() {
-		idx := make(map[netip.Prefix]map[string]bool, len(b.dests))
-		for _, p := range b.dests {
-			set := make(map[string]bool)
-			for _, nh := range snap.NextHopRouters(r, p) {
-				set[nh] = true
-			}
-			idx[p] = set
-		}
-		b.nextHops[r] = idx
-	}
 	return b, nil
 }
 

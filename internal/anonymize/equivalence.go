@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 
 	"confmask/internal/config"
@@ -77,7 +76,8 @@ func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nh 
 // iteration saw the deny already present and reported no change while the
 // wrong route survived. SrcIBGP routes resolve their next hops through
 // OSPF, and the installation-time rejection point is the OSPF interface
-// filter (see bgpFIBRoutes), so they attach there too.
+// filter (see the simulator's bgpState.offerRoutes), so they attach
+// there too.
 //
 // When create is set a missing filter map is allocated; tag names the
 // protocol for generated list names, keeping the per-protocol lists of a
@@ -219,12 +219,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 		counts := make([]int, len(routers))
 		sim.ForEachIndex(opts.simOpts().Workers(), len(routers), func(ri int) {
 			r := routers[ri]
-			fib := snap.FIB(r)
-			if fib == nil {
-				return
-			}
-			orig, known := base.nextHops[r]
-			if !known {
+			if base.cfg.Device(r) == nil {
 				// A fake router (scale-obfuscation extension): it never
 				// carries original traffic — wrong paths through it are
 				// filtered at the real routers feeding it — and leaving
@@ -232,12 +227,13 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 				return
 			}
 			for _, p := range base.dests {
-				rt := fib[p]
+				rt := snap.Route(r, p)
 				if rt == nil || rt.Source == sim.SrcConnected || rt.Source == sim.SrcStatic {
 					continue
 				}
+				orig := base.snap.Route(r, p)
 				for _, nh := range rt.NextHops {
-					if orig[p][nh.Device] {
+					if leadsTo(orig, nh.Device) {
 						continue // an original next hop
 					}
 					if base.topo.HasEdge(r, nh.Device) {
@@ -271,11 +267,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 			for _, r := range base.cfg.Routers() {
 				for _, p := range base.external {
 					got := snap.NextHopRouters(r, p)
-					want := make([]string, 0, len(base.nextHops[r][p]))
-					for nh := range base.nextHops[r][p] {
-						want = append(want, nh)
-					}
-					sort.Strings(want)
+					want := slices.Compact(base.snap.NextHopRouters(r, p))
 					if !slices.Equal(got, want) {
 						return iter, filters, fmt.Errorf("external destination %v diverged on %s: %q vs %q", p, r, got, want)
 					}
@@ -285,4 +277,18 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 		}
 	}
 	return maxIter, filters, fmt.Errorf("no convergence within %d iterations", maxIter)
+}
+
+// leadsTo reports whether some next hop of rt (nil: no route) is the
+// device dev.
+func leadsTo(rt *sim.Route, dev string) bool {
+	if rt == nil {
+		return false
+	}
+	for _, nh := range rt.NextHops {
+		if nh.Device == dev {
+			return true
+		}
+	}
+	return false
 }

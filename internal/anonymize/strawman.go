@@ -167,7 +167,7 @@ func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim
 			if base.topo.HasEdge(a, b) {
 				continue // real link
 			}
-			rt := snap.FIB(a)[dstPfx]
+			rt := snap.Route(a, dstPfx)
 			if rt == nil {
 				continue
 			}

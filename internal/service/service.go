@@ -156,9 +156,9 @@ type Server struct {
 	cfg     Config
 	store   *store
 	metrics *metrics
-	journal *journal                // nil without a DataDir
-	leases  *cluster.Manager        // nil without a DataDir
-	limiter *cluster.RateLimiter    // nil when TenantRate is 0
+	journal *journal             // nil without a DataDir
+	leases  *cluster.Manager     // nil without a DataDir
+	limiter *cluster.RateLimiter // nil when TenantRate is 0
 	sched   *cluster.Scheduler[*job]
 	quit    chan struct{}
 	workers sync.WaitGroup

@@ -350,15 +350,23 @@ func adjInEqual(a, b map[string]map[string]map[netip.Prefix]bgpRoute) bool {
 	return true
 }
 
-// bgpFIBRoutes converts converged BGP bests into FIB routes for router r,
-// for the prefixes stale marks.
-func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string, stale *FilterDiff) []*Route {
-	var out []*Route
-	for p, rt := range st.best[r] {
-		if rt.peer == "" || !stale.marks(p) {
-			// Locally originated (connected/IGP covers forwarding), or
-			// carried forward from the previous simulation.
+// offerRoutes converts router r's converged BGP bests into FIB routes for
+// the prefixes whose columns b rebuilds, offering each at r's device
+// index di.
+func (st *bgpState) offerRoutes(n *Net, igp *ospfState, r string, di int32, b *colBuild) {
+	best := st.best[r]
+	if len(best) == 0 {
+		return
+	}
+	ins := n.ospfInFilters(n.Cfg.Device(r))
+	for p, rt := range best {
+		if rt.peer == "" {
+			// Locally originated: connected/IGP covers forwarding.
 			continue
+		}
+		pi := b.tab.index(p)
+		if !b.dirty[pi] {
+			continue // carried forward from the previous simulation
 		}
 		if !rt.fromIBGP {
 			// eBGP: forward directly to the session peer.
@@ -373,7 +381,7 @@ func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string, stale *Filter
 				continue
 			}
 			local, _ := link.Local(r)
-			out = append(out, &Route{
+			b.put(pi, di, &Route{
 				Prefix:   p,
 				Source:   SrcEBGP,
 				Metric:   len(rt.asPath),
@@ -387,10 +395,9 @@ func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string, stale *Filter
 		// fake link, ConfMask's per-interface filter for this destination
 		// rejects that branch (the SFE "rejected" clause) while the real
 		// branches stay installed.
-		d := n.Cfg.Device(r)
 		var nhs []NextHop
 		for _, nh := range igp.nextHopsToRouter(n, r, rt.peer) {
-			if n.filterDeniesOSPF(d, nh.Iface, p) {
+			if ins[nh.Iface].denies(p) {
 				continue
 			}
 			nhs = append(nhs, nh)
@@ -398,7 +405,6 @@ func (st *bgpState) bgpFIBRoutes(n *Net, igp *ospfState, r string, stale *Filter
 		if len(nhs) == 0 {
 			continue
 		}
-		out = append(out, &Route{Prefix: p, Source: SrcIBGP, Metric: len(rt.asPath), NextHops: nhs})
+		b.put(pi, di, &Route{Prefix: p, Source: SrcIBGP, Metric: len(rt.asPath), NextHops: nhs})
 	}
-	return out
 }

@@ -40,19 +40,18 @@ func rewire(t *testing.T, s *Snapshot, dst string, nhs map[string][]string) {
 	t.Helper()
 	pfx := s.Net.HostPrefix[dst]
 	for dev, next := range nhs {
-		fib := s.FIBs[dev]
-		if fib == nil {
+		if !s.HasDevice(dev) {
 			t.Fatalf("rewire: %s has no FIB", dev)
 		}
 		if len(next) == 0 {
-			delete(fib, pfx)
+			setRoute(s, dev, pfx, nil)
 			continue
 		}
 		rt := &Route{Prefix: pfx, Source: SrcStatic}
 		for _, d := range next {
 			rt.NextHops = append(rt.NextHops, NextHop{Device: d})
 		}
-		fib[pfx] = rt
+		setRoute(s, dev, pfx, rt)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"net/netip"
 	"sort"
 )
@@ -18,6 +19,8 @@ import (
 // across iterations. Any mutation beyond filters (interfaces, links,
 // neighbors, costs, protocol enablement) requires a fresh Build.
 type simCore struct {
+	// tab indexes every Snapshot's route columns; see prefixTable.
+	tab  *prefixTable
 	ospf *ospfCore
 	// ospfLinks / ripLinks / eigrpLinks hold, per router, the incident
 	// links over which the protocol exchanges routes (both endpoint
@@ -33,6 +36,129 @@ type simCore struct {
 	sessions []bgpSession
 }
 
+// prefixTable is the two axes of a Snapshot's route columns. Prefixes are
+// interned in address order: every interface subnet, static prefix and BGP
+// network statement, which are the only places a route's prefix can come
+// from (a protocol yielding a prefix outside the table is a bug, and
+// index panics on it). Devices are the dense Cfg.Names() order the
+// data-plane engines walk in.
+//
+// Each prefix also keeps its filter-independent candidates: the connected
+// and static routes, chosen as a FIB install always has (the first
+// addressed interface, then the first resolvable static, that yields next
+// hops). Administrative distance 0 and 1 outrank every protocol, so these
+// entries are final wherever they exist.
+type prefixTable struct {
+	prefixes []netip.Prefix
+	idx      map[netip.Prefix]int32
+	devices  []string
+	devIdx   map[string]int32
+	// fixed[pi] lists the connected or static route of every device that
+	// has one for prefix pi, in device order.
+	fixed [][]devRoute
+}
+
+// devRoute is one device's route in a sparse column.
+type devRoute struct {
+	dev int32
+	rt  *Route
+}
+
+// index returns p's table index. Every route carries a table prefix, so
+// a miss is a simulator bug.
+func (t *prefixTable) index(p netip.Prefix) int32 {
+	pi, ok := t.idx[p]
+	if !ok {
+		panic(fmt.Sprintf("sim: route prefix %v outside the prefix table", p))
+	}
+	return pi
+}
+
+// buildPrefixTable interns the Net's prefixes and devices and derives
+// every device's connected and static routes.
+func (n *Net) buildPrefixTable() *prefixTable {
+	names := n.Cfg.Names()
+	t := &prefixTable{devices: names, devIdx: make(map[string]int32, len(names))}
+	seen := make(map[netip.Prefix]bool)
+	for i, name := range names {
+		t.devIdx[name] = int32(i)
+		d := n.Cfg.Device(name)
+		for _, ifc := range d.Interfaces {
+			if ifc.Addr.IsValid() {
+				seen[ifc.Addr.Masked()] = true
+			}
+		}
+		for _, s := range d.Statics {
+			seen[s.Prefix] = true
+		}
+		if d.BGP != nil {
+			for _, p := range d.BGP.Networks {
+				seen[p] = true
+			}
+		}
+	}
+	t.prefixes = sortedPrefixes(seen)
+	t.idx = make(map[netip.Prefix]int32, len(t.prefixes))
+	for pi, p := range t.prefixes {
+		t.idx[p] = int32(pi)
+	}
+	t.fixed = make([][]devRoute, len(t.prefixes))
+	for i, name := range names {
+		n.fixedRoutes(name, func(rt *Route) {
+			pi := t.index(rt.Prefix)
+			if fs := t.fixed[pi]; len(fs) > 0 && fs[len(fs)-1].dev == int32(i) {
+				return // the device's first candidate wins
+			}
+			t.fixed[pi] = append(t.fixed[pi], devRoute{dev: int32(i), rt: rt})
+		})
+	}
+	return t
+}
+
+// fixedRoutes hands every connected and static route candidate of a
+// device to add: connected routes first, in interface order, then statics
+// in configuration order.
+func (n *Net) fixedRoutes(name string, add func(*Route)) {
+	d := n.Cfg.Device(name)
+	// Connected routes: one per addressed interface subnet, with the far
+	// ends of matching links as next hops.
+	for _, i := range d.Interfaces {
+		if !i.Addr.IsValid() {
+			continue
+		}
+		p := i.Addr.Masked()
+		var nhs []NextHop
+		for _, l := range n.linksOf[name] {
+			if l.Prefix != p {
+				continue
+			}
+			local, _ := l.Local(name)
+			if local.Iface != i.Name {
+				continue
+			}
+			other, _ := l.Other(name)
+			nhs = append(nhs, NextHop{Device: other.Device, Iface: i.Name})
+		}
+		if len(nhs) > 0 {
+			add(&Route{Prefix: p, Source: SrcConnected, NextHops: sortNextHops(nhs)})
+		}
+	}
+
+	// Static routes: resolve the next-hop address to a directly connected
+	// neighbor. Null0 routes install as discard entries — the anchor
+	// operators use to originate aggregates and external
+	// equivalence-class prefixes into BGP.
+	for _, s := range d.Statics {
+		if s.Discard {
+			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
+			continue
+		}
+		if nh, ok := n.resolveDirect(name, s.NextHop); ok {
+			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{nh}})
+		}
+	}
+}
+
 // ospfCore is the link-state part of the OSPF computation: filters only
 // remove next-hop candidates at RIB-installation time (IOS semantics), so
 // the cost graph, the SPF distances, and the per-prefix advertisements are
@@ -42,20 +168,25 @@ type simCore struct {
 // CSR graph plus the distance rows actually touched, never O(prefixes ×
 // routers).
 type ospfCore struct {
-	// speakers lists the OSPF routers in Routers() order.
+	// speakers lists the OSPF routers in Routers() order; dev[si] is
+	// speaker si's index in the device table.
 	speakers []string
+	dev      []int32
 	// t interns the speakers; fwd/dist index nodes by its IDs.
 	t *interner
 	// fwd is the directed cost graph over OSPF adjacencies in CSR form.
 	fwd *csrGraph
 	// dist is the all-pairs SPF view with on-demand destination rows.
 	dist *DistMatrix
-	// prefixes is every prefix advertised into OSPF, sorted; pidx is the
-	// inverse (prefix → row index of the OSPF route rows).
-	prefixes []netip.Prefix
-	pidx     map[netip.Prefix]int32
-	// advs[p] lists the stub-prefix advertisements for p.
-	advs map[netip.Prefix][]adv
+	// prefixes lists the table indices of the prefixes advertised into
+	// OSPF, ascending; advs[pi] holds prefix pi's stub-prefix
+	// advertisements (nil when it is not advertised).
+	prefixes []int32
+	advs     [][]adv
+	// attached[pi] lists, ascending, the speakers with an addressed
+	// interface in prefix pi: their connected route wins, so OSPF never
+	// installs one there.
+	attached [][]int32
 }
 
 // coreFor returns the Net's filter-independent core, building it on first
@@ -94,7 +225,8 @@ func (n *Net) buildCore(workers int) *simCore {
 		}
 	}
 	c.sessions = n.discoverSessions()
-	c.ospf = n.buildOSPFCore()
+	c.tab = n.buildPrefixTable()
+	c.ospf = n.buildOSPFCore(c.tab)
 	return c
 }
 
@@ -107,13 +239,15 @@ type adv struct {
 
 // buildOSPFCore computes the link-state view: the interned speaker table,
 // the CSR cost graph, the on-demand all-pairs DistMatrix, and the
-// per-prefix advertisements. No distances are computed here — rows
-// materialize lazily as the route computation touches them.
-func (n *Net) buildOSPFCore() *ospfCore {
-	c := &ospfCore{advs: make(map[netip.Prefix][]adv)}
+// per-prefix advertisements, indexed by the prefix table. No distances
+// are computed here — rows materialize lazily as the route computation
+// touches them.
+func (n *Net) buildOSPFCore(tab *prefixTable) *ospfCore {
+	c := &ospfCore{}
 	for _, r := range n.Cfg.Routers() {
 		if n.Cfg.Device(r).OSPF != nil {
 			c.speakers = append(c.speakers, r)
+			c.dev = append(c.dev, tab.devIdx[r])
 		}
 	}
 	if len(c.speakers) == 0 {
@@ -143,20 +277,28 @@ func (n *Net) buildOSPFCore() *ospfCore {
 
 	// Advertised stub prefixes: every enabled connected interface prefix,
 	// at the advertising interface's cost.
-	for _, r := range c.speakers {
+	c.advs = make([][]adv, len(tab.prefixes))
+	c.attached = make([][]int32, len(tab.prefixes))
+	for si, r := range c.speakers {
 		d := n.Cfg.Device(r)
 		ri, _ := c.t.id(r)
 		for _, i := range d.Interfaces {
+			if !i.Addr.IsValid() {
+				continue
+			}
+			pi := tab.index(i.Addr.Masked())
+			if as := c.attached[pi]; len(as) == 0 || as[len(as)-1] != int32(si) {
+				c.attached[pi] = append(as, int32(si))
+			}
 			if ospfEnabled(d, i) {
-				p := i.Addr.Masked()
-				c.advs[p] = append(c.advs[p], adv{router: ri, cost: clampCost32(i.Cost())})
+				c.advs[pi] = append(c.advs[pi], adv{router: ri, cost: clampCost32(i.Cost())})
 			}
 		}
 	}
-	c.prefixes = sortedPrefixes(c.advs)
-	c.pidx = make(map[netip.Prefix]int32, len(c.prefixes))
-	for pi, p := range c.prefixes {
-		c.pidx[p] = int32(pi)
+	for pi, as := range c.advs {
+		if as != nil {
+			c.prefixes = append(c.prefixes, int32(pi))
+		}
 	}
 	return c
 }

@@ -384,6 +384,12 @@ type destEngine struct {
 
 	mu    sync.Mutex
 	built bool
+	// dstCol is the destination prefix's route column and covers the
+	// columns of the other table prefixes containing dstAddr, longest
+	// first: together they resolve each device's longest-prefix match
+	// (see routeToward).
+	dstCol []*Route
+	covers [][]*Route
 	// nameAt/idxOf map between device names and node indices. idxOf is
 	// the Snapshot's shared (read-only) table covering configured
 	// devices; out-of-config devices reached as successors or trace
@@ -407,33 +413,14 @@ type destEngine struct {
 	failRes map[string]srcResult
 }
 
-// deviceIndex returns the Snapshot's shared device table (built once,
-// race-free across concurrently building engines): the configured device
-// names and the name → dense index map.
-func (s *Snapshot) deviceIndex() ([]string, map[string]int32) {
-	s.devOnce.Do(func() {
-		names := s.Net.Cfg.Names()
-		idx := make(map[string]int32, len(names))
-		for i, name := range names {
-			idx[name] = int32(i)
-		}
-		s.devNames, s.devIdx = names, idx
-	})
-	return s.devNames, s.devIdx
-}
-
 // Devices returns every configured device name in the Snapshot's dense
 // device-table order. The slice is shared with the data-plane engines:
 // callers must treat it as read-only.
-func (s *Snapshot) Devices() []string {
-	names, _ := s.deviceIndex()
-	return names
-}
+func (s *Snapshot) Devices() []string { return s.tab.devices }
 
 // HasDevice reports whether name is a configured device of the network.
 func (s *Snapshot) HasDevice(name string) bool {
-	_, idx := s.deviceIndex()
-	_, ok := idx[name]
+	_, ok := s.tab.devIdx[name]
 	return ok
 }
 
@@ -520,27 +507,49 @@ func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
 	return ps, fp
 }
 
-// routeToward replicates the recursive walker's FIB choice: an exact hit
-// on the destination prefix is the LPM result (host LANs are the most
-// specific prefixes in the model); the linear scan only runs for
-// aggregated/default routes.
-func (e *destEngine) routeToward(dev string) *Route {
-	fib := e.snap.FIBs[dev]
-	if fib == nil {
-		return nil
+// lpmColumns picks the columns the engine resolves each device's route
+// toward the destination from: the destination prefix's own, and those of
+// every other table prefix containing the destination address, longest
+// first (table order among equal lengths). Callers hold mu.
+func (e *destEngine) lpmColumns() {
+	tab := e.snap.tab
+	e.dstCol = e.snap.cols[tab.index(e.dstPfx)]
+	var pis []int
+	for pi, p := range tab.prefixes {
+		if p != e.dstPfx && p.Contains(e.dstAddr) {
+			pis = append(pis, pi)
+		}
 	}
-	if exact := fib[e.dstPfx]; exact != nil {
-		return exact
+	sort.SliceStable(pis, func(a, b int) bool { return tab.prefixes[pis[a]].Bits() > tab.prefixes[pis[b]].Bits() })
+	e.covers = make([][]*Route, len(pis))
+	for k, pi := range pis {
+		e.covers[k] = e.snap.cols[pi]
 	}
-	return fib.Lookup(e.dstAddr)
 }
 
-// classify derives a device's node kind and successor names.
-func (e *destEngine) classify(dev string) (nodeKind, []NextHop) {
-	if dev == e.dst {
+// routeToward returns device i's longest-prefix-match route toward the
+// destination: an exact hit on the destination prefix (host LANs are the
+// most specific prefixes in the model), else the longest covering prefix
+// the device has a route for — the FIB.Lookup result, without scanning a
+// FIB.
+func (e *destEngine) routeToward(i int32) *Route {
+	if rt := e.dstCol[i]; rt != nil {
+		return rt
+	}
+	for _, col := range e.covers {
+		if rt := col[i]; rt != nil {
+			return rt
+		}
+	}
+	return nil
+}
+
+// classify derives a configured device's node kind and successor names.
+func (e *destEngine) classify(i int32) (nodeKind, []NextHop) {
+	if e.nameAt[i] == e.dst {
 		return deliveredNode, nil
 	}
-	rt := e.routeToward(dev)
+	rt := e.routeToward(i)
 	if rt == nil || len(rt.NextHops) == 0 {
 		return blackholeNode, nil
 	}
@@ -549,8 +558,8 @@ func (e *destEngine) classify(dev string) (nodeKind, []NextHop) {
 
 // indexOf returns (allocating on demand) the node index for a device,
 // including devices outside the configured set — the walker treats those
-// as black holes, exactly like the recursive walker's nil-FIB case.
-// Callers hold mu; any held *destNode pointer is invalid afterwards.
+// as black holes: they have no routes. Callers hold mu; any held
+// *destNode pointer is invalid afterwards.
 func (e *destEngine) indexOf(dev string) int32 {
 	if i, ok := e.idxOf[dev]; ok {
 		return i
@@ -558,16 +567,8 @@ func (e *destEngine) indexOf(dev string) int32 {
 	if i, ok := e.extra[dev]; ok {
 		return i
 	}
-	kind, nhs := e.classify(dev)
-	var succ []int32
-	if kind == transitNode {
-		succ = make([]int32, len(nhs))
-		for k, nh := range nhs {
-			succ[k] = e.indexOf(nh.Device)
-		}
-	}
 	i := int32(len(e.nodes))
-	e.nodes = append(e.nodes, destNode{kind: kind, succ: succ})
+	e.nodes = append(e.nodes, destNode{kind: blackholeNode})
 	e.nameAt = append(e.nameAt, dev)
 	if e.extra == nil {
 		e.extra = make(map[string]int32)
@@ -580,13 +581,14 @@ func (e *destEngine) indexOf(dev string) int32 {
 // the cycle-taint + max-suffix-length analysis. Callers hold mu.
 func (e *destEngine) build() {
 	e.built = true
-	names, idx := e.snap.deviceIndex()
-	e.idxOf = idx
+	names := e.snap.tab.devices
+	e.idxOf = e.snap.tab.devIdx
+	e.lpmColumns()
 	e.nameAt = append(make([]string, 0, len(names)+1), names...)
 	e.nodes = make([]destNode, len(names), len(names)+1)
 	nhLists := make([][]NextHop, len(names))
-	for i, name := range names {
-		e.nodes[i].kind, nhLists[i] = e.classify(name)
+	for i := range names {
+		e.nodes[i].kind, nhLists[i] = e.classify(int32(i))
 	}
 	for i, nhs := range nhLists {
 		if len(nhs) == 0 {

@@ -41,11 +41,11 @@ func benchNetworks(b *testing.B) []struct {
 	}
 }
 
-// coldSnapshot shares base's simulated FIBs but carries empty trace
-// caches, so each iteration pays the full extraction instead of reading
-// the per-destination cache of the previous one.
+// coldSnapshot shares base's simulated route columns but carries empty
+// trace caches, so each iteration pays the full extraction instead of
+// reading the per-destination cache of the previous one.
 func coldSnapshot(base *Snapshot, workers int) *Snapshot {
-	return &Snapshot{Net: base.Net, FIBs: base.FIBs, OSPFDist: base.OSPFDist, workers: workers}
+	return &Snapshot{Net: base.Net, OSPFDist: base.OSPFDist, tab: base.tab, cols: base.cols, workers: workers}
 }
 
 func BenchmarkExtractDataPlane(b *testing.B) {

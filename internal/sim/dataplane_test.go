@@ -191,22 +191,18 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 			r := routers[rng.Intn(len(routers))]
 			h := hosts[rng.Intn(len(hosts))]
 			pfx := snap.Net.HostPrefix[h]
-			fib := snap.FIBs[r]
-			if fib == nil {
-				continue
-			}
 			switch rng.Intn(4) {
 			case 0: // forwarding loop (possibly self-loop)
 				tgt := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
 			case 1: // ECMP loop: two rewired branches
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
 			case 2: // black hole: no route at all
-				delete(fib, pfx)
+				setRoute(snap, r, pfx, nil)
 			case 3: // discard next hop
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
 			}
 		}
 		assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))

@@ -37,22 +37,18 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 			r := routers[rng.Intn(len(routers))]
 			h := hosts[rng.Intn(len(hosts))]
 			pfx := snap.Net.HostPrefix[h]
-			fib := snap.FIBs[r]
-			if fib == nil {
-				continue
-			}
 			switch rng.Intn(4) {
 			case 0:
 				tgt := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
 			case 1:
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
 			case 2:
-				delete(fib, pfx)
+				setRoute(snap, r, pfx, nil)
 			case 3:
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
 			}
 		}
 		devs := cfg.Names()

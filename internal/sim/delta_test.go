@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -337,8 +336,8 @@ func TestDeltaMatchesFreshSimulation(t *testing.T) {
 }
 
 // TestDeltaCarriesCleanPrefixesForward pins that the delta path is taken:
-// with nothing invalidated every FIB and OSPF row is the previous one,
-// and one exact deny recomputes only that prefix's row.
+// with nothing invalidated every route column is the previous one, and
+// one exact deny rebuilds exactly that prefix's column and OSPF row.
 func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	cfg, err := netgen.ByID("D") // Bics: OSPF only
 	if err != nil {
@@ -354,14 +353,15 @@ func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	}
 	first := SimulateNet(view)
 	rows := view.last.ospfRows
+	sameColumn := func(a, b []*Route) bool { return &a[0] == &b[0] }
 
 	if d := view.InvalidateFilters(); !d.Empty() {
 		t.Fatal("no-op InvalidateFilters reported a change")
 	}
 	again := SimulateNet(view)
-	for dev, fib := range first.FIBs {
-		if reflect.ValueOf(again.FIBs[dev]).Pointer() != reflect.ValueOf(fib).Pointer() {
-			t.Fatalf("%s: FIB rebuilt although nothing was invalidated", dev)
+	for pi, col := range first.cols {
+		if !sameColumn(again.cols[pi], col) {
+			t.Fatalf("%v: column rebuilt although nothing was invalidated", first.tab.prefixes[pi])
 		}
 	}
 
@@ -376,11 +376,15 @@ func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	d.OSPF.InFilters[d.Interfaces[0].Name] = "ONE"
 	d.EnsurePrefixList("ONE").Deny(pfx)
 	view.InvalidateFilters()
-	SimulateNet(view)
-	core := view.core.ospf
-	for pi, p := range core.prefixes {
-		same := &view.last.ospfRows[pi][0] == &rows[pi][0]
-		if same == (p == pfx) {
+	denied := SimulateNet(view)
+	for pi, p := range denied.tab.prefixes {
+		if shared := sameColumn(denied.cols[pi], again.cols[pi]); shared == (p == pfx) {
+			t.Fatalf("column %v: shared = %v after a deny of %v", p, shared, pfx)
+		}
+	}
+	for _, pi := range view.core.ospf.prefixes {
+		p := view.core.tab.prefixes[pi]
+		if same := &view.last.ospfRows[pi][0] == &rows[pi][0]; same == (p == pfx) {
 			t.Fatalf("row %v: reused = %v after a deny of %v", p, same, pfx)
 		}
 	}

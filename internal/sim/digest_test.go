@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"confmask/internal/netgen"
@@ -119,22 +120,24 @@ func corruptFIBs(snap *Snapshot, rng *rand.Rand) {
 	devs := snap.Devices()
 	var routers []string
 	for _, d := range devs {
-		if snap.FIBs[d] != nil && len(snap.FIBs[d]) > 0 {
+		if len(snap.FIB(d)) > 0 {
 			routers = append(routers, d)
 		}
 	}
 	for _, d := range routers {
-		fib := snap.FIBs[d]
-		for pfx, rt := range fib {
+		for pfx, rt := range snap.FIB(d) {
 			switch rng.Intn(6) {
 			case 0: // rewrite a next hop to a random router → possible loop
 				if len(rt.NextHops) > 0 {
 					nh := rt.NextHops[rng.Intn(len(rt.NextHops))]
 					nh.Device = routers[rng.Intn(len(routers))]
-					rt.NextHops[rng.Intn(len(rt.NextHops))] = nh
+					c := *rt
+					c.NextHops = slices.Clone(rt.NextHops)
+					c.NextHops[rng.Intn(len(rt.NextHops))] = nh
+					setRoute(snap, d, pfx, &c)
 				}
 			case 1: // drop the route → black hole
-				delete(fib, pfx)
+				setRoute(snap, d, pfx, nil)
 			}
 		}
 	}

@@ -35,170 +35,114 @@ func SimulateNet(n *Net) *Snapshot {
 // result is identical at any parallelism level: every fan-out writes
 // index-addressed slots that are merged in deterministic order.
 //
-// A simulation is a delta over the Net's previous one: only the prefixes
-// marked by the FilterDiffs InvalidateFilters returned since then get
-// their OSPF rows recomputed and their FIB entries re-arbitrated; every
-// other entry is carried forward (per-prefix filter independence, see
-// FilterDiff). A Net's first simulation, or one after an All() diff,
-// marks every prefix, which is the full computation. RIP, EIGRP and BGP
-// converge in full either way; only their dirty prefixes are merged.
+// The Snapshot stores its FIBs column-major: one route column per prefix
+// of the Net's prefix table, indexed by device (see Snapshot). A
+// simulation is a delta over the Net's previous one: only the columns of
+// the prefixes marked by the FilterDiffs InvalidateFilters returned since
+// then are rebuilt, with their OSPF rows recomputed and every device's
+// entry re-arbitrated; every other column is the previous Snapshot's,
+// shared (per-prefix filter independence, see FilterDiff). A Net's first
+// simulation, or one after an All() diff, marks every prefix, which is
+// the full computation through the same assembly. RIP, EIGRP and BGP
+// converge in full either way; only their routes for marked prefixes are
+// assembled.
 func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 	workers := opts.workers()
+	tab := n.coreFor(workers).tab
 	last, stale := n.lastResult()
-	igp := n.runOSPF(workers, last, stale)
+	b := newColBuild(tab, last, stale)
+	igp := n.runOSPF(workers, last, b.dirty)
 	rip := n.runRIP(workers)
 	eigrp := n.runEIGRP(workers)
 	bgp := n.runBGP(igp, workers)
+	b.assemble(n, workers, igp, rip, eigrp, bgp)
+	n.remember(&simResult{ospfRows: igp.rows, cols: b.cols})
+	return &Snapshot{Net: n, OSPFDist: igp.dist, tab: tab, cols: b.cols, workers: workers}
+}
 
-	names := n.Cfg.Names()
-	fibs := make([]FIB, len(names))
-	forEachIndex(workers, len(names), func(i int) {
-		fibs[i] = n.deviceFIB(names[i], last.fib(i), stale, igp, rip, eigrp, bgp)
+// colBuild is one simulation's column assembly: the new column set, whose
+// clean columns are the previous result's and whose dirty ones are
+// rebuilt.
+type colBuild struct {
+	tab   *prefixTable
+	dirty []bool // by table index
+	cols  [][]*Route
+}
+
+// newColBuild marks the prefixes a simulation rebuilds: every one without
+// a remembered result, else those stale marks. The clean columns are
+// last's, shared.
+func newColBuild(tab *prefixTable, last *simResult, stale *FilterDiff) *colBuild {
+	b := &colBuild{tab: tab, dirty: make([]bool, len(tab.prefixes)), cols: make([][]*Route, len(tab.prefixes))}
+	for pi, p := range tab.prefixes {
+		if last == nil || stale.marks(p) {
+			b.dirty[pi] = true
+		} else {
+			b.cols[pi] = last.cols[pi]
+		}
+	}
+	return b
+}
+
+// assemble rebuilds every dirty column. A device's entry is the
+// administrative-distance winner among its connected and static
+// candidates (the prefix table's), its OSPF route (the prefix's row), and
+// its BGP, EIGRP and RIP routes. Columns fan out first; the per-router
+// protocol results then fan out by router, each writing only its own slot
+// of the dirty columns.
+func (b *colBuild) assemble(n *Net, workers int, igp *ospfState, rip, eigrp map[string]map[netip.Prefix]*Route, bgp *bgpState) {
+	var fresh []int32
+	for pi, d := range b.dirty {
+		if d {
+			fresh = append(fresh, int32(pi))
+		}
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	D := len(b.tab.devices)
+	forEachIndex(workers, len(fresh), func(k int) {
+		pi := fresh[k]
+		col := make([]*Route, D)
+		for _, f := range b.tab.fixed[pi] {
+			col[f.dev] = f.rt
+		}
+		b.cols[pi] = col
+		for si, rt := range igp.rows[pi] {
+			if rt != nil {
+				b.put(pi, igp.dev[si], rt)
+			}
+		}
 	})
-	snap := &Snapshot{Net: n, FIBs: make(map[string]FIB, len(names)), OSPFDist: igp.dist, workers: workers}
-	for i, name := range names {
-		snap.FIBs[name] = fibs[i]
-	}
-	n.remember(&simResult{ospfRows: igp.rows, fibs: fibs})
-	return snap
+	forEachIndex(workers, D, func(i int) {
+		di, name := int32(i), b.tab.devices[i]
+		bgp.offerRoutes(n, igp, name, di, b)
+		for _, rt := range eigrp[name] {
+			b.offer(di, rt)
+		}
+		for _, rt := range rip[name] {
+			b.offer(di, rt)
+		}
+	})
 }
 
-// deviceFIB assembles one device's FIB: prev's entries for the prefixes
-// stale leaves clean, plus the administrative-distance winner among the
-// converged protocol states for every prefix it marks. A full assembly
-// is prev == nil with a nil (all-dirty) stale. It only reads n, prev and
-// the protocol results, so devices fan out independently.
-func (n *Net) deviceFIB(name string, prev FIB, stale *FilterDiff, igp *ospfState, rip, eigrp map[string]map[netip.Prefix]*Route, bgp *bgpState) FIB {
-	d := n.Cfg.Device(name)
-	size := len(d.Interfaces) + len(d.Statics)
-	if d.Kind == config.RouterKind {
-		size += len(igp.dirty)
-		if prev == nil {
-			size += len(rip[name]) + len(eigrp[name])
-		}
+// offer installs rt at device di when its prefix's column is being
+// rebuilt; see put.
+func (b *colBuild) offer(di int32, rt *Route) {
+	if pi := b.tab.index(rt.Prefix); b.dirty[pi] {
+		b.put(pi, di, rt)
 	}
-	fresh := make(FIB, size)
-	install := func(r *Route) {
-		if len(r.NextHops) == 0 || !stale.marks(r.Prefix) {
-			return
-		}
-		cur, ok := fresh[r.Prefix]
-		if !ok || r.Source < cur.Source {
-			fresh[r.Prefix] = r
-		}
-	}
-
-	// Connected routes: one per addressed interface subnet, with the
-	// far ends of matching links as next hops.
-	for _, i := range d.Interfaces {
-		if !i.Addr.IsValid() {
-			continue
-		}
-		p := i.Addr.Masked()
-		if !stale.marks(p) {
-			continue
-		}
-		var nhs []NextHop
-		for _, l := range n.linksOf[name] {
-			if l.Prefix != p {
-				continue
-			}
-			local, _ := l.Local(name)
-			if local.Iface != i.Name {
-				continue
-			}
-			other, _ := l.Other(name)
-			nhs = append(nhs, NextHop{Device: other.Device, Iface: i.Name})
-		}
-		if len(nhs) > 0 {
-			install(&Route{Prefix: p, Source: SrcConnected, NextHops: sortNextHops(nhs)})
-		}
-	}
-
-	// Static routes: resolve the next-hop address to a directly
-	// connected neighbor. Null0 routes install as discard entries —
-	// the anchor operators use to originate aggregates and external
-	// equivalence-class prefixes into BGP.
-	for _, s := range d.Statics {
-		if !stale.marks(s.Prefix) {
-			continue
-		}
-		if s.Discard {
-			install(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
-			continue
-		}
-		if nh, ok := n.resolveDirect(name, s.NextHop); ok {
-			install(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{nh}})
-		}
-	}
-
-	if d.Kind == config.RouterKind {
-		for _, r := range bgp.bgpFIBRoutes(n, igp, name, stale) {
-			install(r)
-		}
-		for _, r := range eigrp[name] {
-			install(r)
-		}
-		if si, ok := igp.speaker(name); ok {
-			for _, pi := range igp.dirty {
-				if r := igp.rows[pi][si]; r != nil {
-					install(r)
-				}
-			}
-		}
-		for _, r := range rip[name] {
-			install(r)
-		}
-	}
-	return overlayFIB(prev, fresh, stale)
 }
 
-// overlayFIB replaces prev's entries for the prefixes stale marks with
-// fresh, which holds exactly the re-arbitrated winners for those
-// prefixes. When no marked entry changed, prev itself is returned, so a
-// device the edit did not reach shares its FIB with the previous
-// Snapshot.
-func overlayFIB(prev, fresh FIB, stale *FilterDiff) FIB {
-	if prev == nil {
-		return fresh
+// put installs rt at device di of dirty column pi unless the entry there
+// has a lower administrative distance. Each protocol yields at most one
+// route per device and prefix, so the winner does not depend on the order
+// routes are offered in.
+func (b *colBuild) put(pi, di int32, rt *Route) {
+	col := b.cols[pi]
+	if cur := col[di]; cur == nil || rt.Source < cur.Source {
+		col[di] = rt
 	}
-	marked, same := 0, true
-	for p, rt := range prev {
-		if !stale.marks(p) {
-			continue
-		}
-		marked++
-		if nr, ok := fresh[p]; !ok || !sameRoute(rt, nr) {
-			same = false
-			break
-		}
-	}
-	if same && marked == len(fresh) {
-		return prev
-	}
-	fib := make(FIB, len(prev)+len(fresh))
-	for p, rt := range prev {
-		if !stale.marks(p) {
-			fib[p] = rt
-		}
-	}
-	for p, rt := range fresh {
-		fib[p] = rt
-	}
-	return fib
-}
-
-// sameRoute reports whether two routes are the same FIB entry.
-func sameRoute(a, b *Route) bool {
-	if a.Prefix != b.Prefix || a.Source != b.Source || a.Metric != b.Metric || len(a.NextHops) != len(b.NextHops) {
-		return false
-	}
-	for i := range a.NextHops {
-		if a.NextHops[i] != b.NextHops[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // resolveDirect finds the link of dev whose far-end address equals addr.

@@ -13,17 +13,20 @@ import (
 // (DataPlaneForDirty carries the rest forward from the prior DataPlane;
 // Algorithm 2 re-reads the census only for dirty fake hosts). The Net
 // keeps the union of the diffs since its last simulation too: the next
-// SimulateNet recomputes only the OSPF rows and FIB entries of the
-// prefixes that union marks, and carries every other entry forward.
+// SimulateNet rebuilds only the OSPF rows and route columns of the
+// prefixes that union marks, and shares every other column with the
+// previous Snapshot.
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route
-// for a specific prefix (runOSPF/runRIP/runEIGRP consult filterDenies*
-// per candidate prefix; bgpFIBRoutes filters each advertised prefix, and
-// its iBGP next-hop resolution uses the filter-independent SPF state).
-// A deny-decision change for prefix set P therefore only changes FIB
-// entries whose prefix is in P, so a trace toward destination d can only
-// change when some prefix in P overlaps d's LAN prefix. The property
+// for a specific prefix (runOSPF asks each link's compiled inbound list,
+// runRIP/runEIGRP consult filterDenies* per candidate prefix; BGP filters
+// each advertised prefix at the receiving neighbor, and offerRoutes
+// filters the iBGP next hops it resolves through the filter-independent
+// SPF state). A deny-decision change for prefix set P therefore only
+// changes the route columns of the prefixes in P, so a trace toward
+// destination d can only change when some prefix in P overlaps d's LAN
+// prefix. The property
 // tests in dataplane_test.go exercise this end to end against full
 // re-extraction, and delta_test.go pins delta re-simulation against a
 // fresh Build.
@@ -67,8 +70,8 @@ func (d *FilterDiff) Prefixes() []netip.Prefix {
 }
 
 // marks reports whether a route for prefix p may have changed: the
-// exact-prefix test FIB entries need, since a deny decision for p is the
-// decision recorded under p's masked form (see Net.denies).
+// exact-prefix test a route column needs, since a deny decision for p is
+// the decision recorded under p's masked form (see listEval.denies).
 func (d *FilterDiff) marks(p netip.Prefix) bool {
 	return d.All() || d.prefixes[p.Masked()]
 }

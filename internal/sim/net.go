@@ -107,12 +107,12 @@ type Net struct {
 }
 
 // simResult is what a simulation leaves for the next one on the same Net:
-// the OSPF rows by prefix and every device's FIB in Cfg.Names() order.
-// Both are shared with the Snapshot that produced them and with later
-// delta results, so neither is ever written after it is published.
+// the OSPF rows and the route columns, both by prefix-table index. Both
+// are shared with the Snapshot that produced them and with later delta
+// results, so neither is ever written after it is published.
 type simResult struct {
 	ospfRows [][]*Route
-	fibs     []FIB
+	cols     [][]*Route
 }
 
 // lastResult returns the remembered result and the diff accumulated
@@ -122,14 +122,6 @@ func (n *Net) lastResult() (*simResult, *FilterDiff) {
 	n.lastMu.Lock()
 	defer n.lastMu.Unlock()
 	return n.last, n.stale
-}
-
-// fib returns device i's remembered FIB (nil on a nil result).
-func (r *simResult) fib(i int) FIB {
-	if r == nil {
-		return nil
-	}
-	return r.fibs[i]
 }
 
 // remember publishes a finished simulation's result: nothing is stale
@@ -160,9 +152,20 @@ type listEval struct {
 // Read-only after Build/InvalidateFilters, so safe from concurrent route
 // workers.
 func (n *Net) denies(d *config.Device, list string, p netip.Prefix) bool {
-	ev, ok := n.denyCache[d.Hostname+"\x00"+list]
-	if !ok {
-		return false // unknown list: no match, permits
+	return n.listOf(d, list).denies(p)
+}
+
+// listOf returns the compiled form of the device's named prefix list, nil
+// when the device has no such list.
+func (n *Net) listOf(d *config.Device, list string) *listEval {
+	return n.denyCache[d.Hostname+"\x00"+list]
+}
+
+// denies reports whether the list denies p; a nil list (unknown, or not
+// attached) matches nothing and so permits.
+func (ev *listEval) denies(p netip.Prefix) bool {
+	if ev == nil {
+		return false
 	}
 	q := p.Masked()
 	if !ev.ranged {

@@ -12,7 +12,7 @@ import (
 // index-addressed slots that are merged deterministically afterwards.
 type Options struct {
 	// Parallelism bounds the worker pool fanning out per-router work
-	// (per-speaker SPF, per-router route tables, per-device FIB
+	// (per-speaker SPF, per-router route tables, per-prefix route-column
 	// assembly). Zero or negative selects runtime.GOMAXPROCS(0); 1
 	// forces the fully sequential path.
 	Parallelism int

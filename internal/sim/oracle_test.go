@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -39,17 +41,13 @@ func (s *Snapshot) traceNaive(start, dst string, f Failure) []Path {
 			out = append(out, Path{Hops: append([]string(nil), hops...), Status: Looped})
 			return
 		}
-		fib := s.FIBs[cur]
-		var rt *Route
-		if fib != nil {
-			// Host LANs are the most specific prefixes in our model, so
-			// an exact hit on the destination prefix IS the LPM result;
-			// the linear scan only runs for aggregated/default routes.
-			if exact := fib[dstPfx]; exact != nil {
-				rt = exact
-			} else {
-				rt = fib.Lookup(dstAddr)
-			}
+		// Host LANs are the most specific prefixes in our model, so an
+		// exact hit on the destination prefix IS the LPM result; the
+		// linear scan of the device's FIB only runs for aggregated and
+		// default routes.
+		rt := s.Route(cur, dstPfx)
+		if rt == nil {
+			rt = s.FIB(cur).Lookup(dstAddr)
 		}
 		if rt == nil || len(rt.NextHops) == 0 {
 			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
@@ -83,4 +81,20 @@ func pathSetKey(ps []Path) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
+}
+
+// setRoute replaces device dev's route to prefix p (nil deletes it): the
+// one way tests corrupt FIBs. Columns are shared with the Net's remembered
+// result and its other Snapshots, so the write goes into clones of the
+// column set and of p's column; only s sees it.
+func setRoute(s *Snapshot, dev string, p netip.Prefix, rt *Route) {
+	di, ok := s.tab.devIdx[dev]
+	if !ok {
+		panic("setRoute: unknown device " + dev)
+	}
+	pi := s.tab.index(p)
+	cols := slices.Clone(s.cols)
+	cols[pi] = slices.Clone(cols[pi])
+	cols[pi][di] = rt
+	s.cols = cols
 }

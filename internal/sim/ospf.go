@@ -35,7 +35,7 @@ func (n *Net) ospfLinkEnabled(l *Link) bool {
 	return ia != nil && ib != nil && ospfEnabled(da, ia) && ospfEnabled(db, ib)
 }
 
-// ospfState is the computed link-state view shared by FIB construction and
+// ospfState is the computed link-state view shared by column assembly and
 // BGP next-hop resolution.
 type ospfState struct {
 	// dist is the all-pairs SPF view (on-demand destination rows).
@@ -44,13 +44,13 @@ type ospfState struct {
 	t *interner
 	// fwd is the directed cost graph over OSPF adjacencies.
 	fwd *csrGraph
-	// pidx maps an advertised prefix to its row index (the core's).
-	pidx map[netip.Prefix]int32
-	// rows[pi][si] is speaker si's OSPF route to prefix pi, nil when it
-	// has none. Clean rows are the previous simulation's, shared.
+	// tab is the Net's prefix table; dev maps speakers to its devices.
+	tab *prefixTable
+	dev []int32
+	// rows[pi][si] is speaker si's OSPF route to table prefix pi, nil
+	// when it has none; rows[pi] is nil for prefixes not advertised into
+	// OSPF. Clean rows are the previous simulation's, shared.
 	rows [][]*Route
-	// dirty lists the row indices this run recomputed, ascending.
-	dirty []int32
 }
 
 // speaker returns r's interned speaker index; ok is false when r does
@@ -64,39 +64,62 @@ func (st *ospfState) speaker(r string) (int32, bool) {
 
 // route returns router r's OSPF route to p, or nil.
 func (st *ospfState) route(r string, p netip.Prefix) *Route {
-	pi, okp := st.pidx[p]
+	pi, okp := st.tab.idx[p]
 	si, okr := st.speaker(r)
-	if !okp || !okr {
+	if !okp || !okr || st.rows[pi] == nil {
 		return nil
 	}
 	return st.rows[pi][si]
 }
 
-// ospfRowPool recycles the per-prefix distance rows runOSPF streams: one
-// live row per in-flight prefix shard, instead of a materialized
-// prefixes × routers matrix.
-var ospfRowPool = sync.Pool{New: func() any { return new([]int32) }}
-
-func getOSPFRow(n int) []int32 {
-	p := ospfRowPool.Get().(*[]int32)
-	r := *p
-	if cap(r) < n {
-		r = make([]int32, n)
-	}
-	r = r[:n]
-	for i := range r {
-		r[i] = -1
-	}
-	return r
+// ospfScratch is the per-prefix working memory of runOSPF's candidate
+// selection, pooled so that each in-flight prefix shard reuses one set
+// instead of allocating (and growing) its own: the dense distance row,
+// the next-hop staging area, and the per-speaker route slots.
+type ospfScratch struct {
+	dist  []int32
+	nhs   []NextHop
+	slot  []int32
+	spans []nhSpan
 }
 
-func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
+// nhSpan is one route's next hops within the staging area.
+type nhSpan struct{ start, end int32 }
+
+var ospfScratchPool = sync.Pool{New: func() any { return new(ospfScratch) }}
+
+// getOSPFScratch returns scratch sized for n speakers, with every
+// distance unknown (-1) and the staging areas empty.
+func getOSPFScratch(n int) *ospfScratch {
+	sc := ospfScratchPool.Get().(*ospfScratch)
+	if cap(sc.dist) < n {
+		sc.dist = make([]int32, n)
+		sc.slot = make([]int32, n)
+	}
+	sc.dist, sc.slot = sc.dist[:n], sc.slot[:n]
+	for i := range sc.dist {
+		sc.dist[i] = -1
+	}
+	sc.nhs, sc.spans = sc.nhs[:0], sc.spans[:0]
+	return sc
+}
+
+// linkCand is one OSPF adjacency of a speaker, resolved once per run:
+// the interned neighbor, the local interface and its cost, and the
+// compiled inbound distribute-list on that interface (nil when none).
+type linkCand struct {
+	nb     int32
+	nbName string
+	iface  string
+	cost   int32
+	in     *listEval
+}
 
 // runOSPF computes the OSPF route rows: one per advertised prefix, one
 // slot per speaker. The link-state view (interned cost graph, SPF
 // distance rows) comes from the Net's cached core; only the rows of the
-// prefixes stale marks are recomputed, the others are last's (last nil:
-// every row is recomputed).
+// prefixes dirty marks are recomputed, the others are last's (every
+// prefix is dirty when last is nil).
 //
 // The computation is destination-sharded: for each recomputed prefix, a
 // pooled dense []int32 row of per-router distances to the prefix is
@@ -111,64 +134,50 @@ func putOSPFRow(r []int32) { ospfRowPool.Put(&r) }
 // only; the link-state database itself is unaffected, matching IOS
 // semantics and the "edge is rejected" clause of the paper's SFE
 // conditions for link-state protocols.
-func (n *Net) runOSPF(workers int, last *simResult, stale *FilterDiff) *ospfState {
+func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 	core := n.coreFor(workers)
 	oc := core.ospf
-	st := &ospfState{dist: oc.dist, t: oc.t, fwd: oc.fwd, pidx: oc.pidx, rows: make([][]*Route, len(oc.prefixes))}
-	for pi, p := range oc.prefixes {
-		if last != nil && !stale.marks(p) {
+	st := &ospfState{dist: oc.dist, t: oc.t, fwd: oc.fwd, tab: core.tab, dev: oc.dev, rows: make([][]*Route, len(core.tab.prefixes))}
+	var todo []int32
+	for _, pi := range oc.prefixes {
+		if !dirty[pi] {
 			st.rows[pi] = last.ospfRows[pi]
 			continue
 		}
-		st.dirty = append(st.dirty, int32(pi))
+		todo = append(todo, pi)
 	}
-	if len(st.dirty) == 0 {
+	if len(todo) == 0 {
 		return st
 	}
 
-	// Filter-independent per-speaker state, resolved once per run instead
-	// of once per (prefix, link): the device, its connected prefixes, and
-	// its candidate links with interned neighbor ids and local costs, in
-	// core.ospfLinks order (the order the candidate scan has always
-	// branched in).
-	type linkCand struct {
-		nb     int32 // neighbor speaker id
-		nbName string
-		iface  string // local interface name
-		cost   int32  // local interface cost
-	}
+	// Per-speaker state, resolved once per run instead of once per
+	// (prefix, link): the candidate links with interned neighbor ids,
+	// local costs and inbound filters, in core.ospfLinks order (the order
+	// the candidate scan has always branched in).
 	S := len(oc.speakers)
-	devs := make([]*config.Device, S)
-	connected := make([]map[netip.Prefix]bool, S)
 	cands := make([][]linkCand, S)
 	forEachIndex(workers, S, func(si int) {
 		r := oc.speakers[si]
 		d := n.Cfg.Device(r)
-		devs[si] = d
-		conn := make(map[netip.Prefix]bool)
-		for _, i := range d.Interfaces {
-			if i.Addr.IsValid() {
-				conn[i.Addr.Masked()] = true
-			}
-		}
-		connected[si] = conn
+		ins := n.ospfInFilters(d)
 		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
 		for _, l := range core.ospfLinks[r] {
 			local, _ := l.Local(r)
 			other, _ := l.Other(r)
 			nb, _ := oc.t.id(other.Device)
 			li := d.Interface(local.Iface)
-			cs = append(cs, linkCand{nb: nb, nbName: other.Device, iface: local.Iface, cost: clampCost32(li.Cost())})
+			cs = append(cs, linkCand{nb: nb, nbName: other.Device, iface: local.Iface, cost: clampCost32(li.Cost()), in: ins[local.Iface]})
 		}
 		cands[si] = cs
 	})
 
 	// Destination-sharded candidate selection.
-	forEachIndex(workers, len(st.dirty), func(k int) {
-		pi := st.dirty[k]
-		p := oc.prefixes[pi]
-		dp := getOSPFRow(oc.t.size())
-		for _, a := range oc.advs[p] {
+	forEachIndex(workers, len(todo), func(k int) {
+		pi := todo[k]
+		p := core.tab.prefixes[pi]
+		sc := getOSPFScratch(oc.t.size())
+		dp := sc.dist
+		for _, a := range oc.advs[pi] {
 			arow := oc.dist.rowTo(a.router)
 			for s, das := range arow {
 				if das < 0 {
@@ -179,73 +188,71 @@ func (n *Net) runOSPF(workers int, last *simResult, stale *FilterDiff) *ospfStat
 				}
 			}
 		}
-		// Routes and next-hop lists are arena-allocated per prefix (one
-		// backing array each instead of one allocation per route), which
-		// is what keeps the GC out of the way at 10⁶ routes. Slices into
-		// the arenas are taken only after both are fully grown.
-		out := make([]*Route, S)
+		// Next hops are staged in the pooled scratch and copied out at
+		// their exact total length, and routes are arena-allocated per
+		// prefix (one backing array each instead of one allocation per
+		// route), which is what keeps the GC out of the way at 10⁶
+		// routes.
 		arena := make([]Route, 0, S)
-		var nhArena []NextHop
-		slot := make([]int32, S)
-		type span struct{ start, end int32 }
-		spans := make([]span, 0, S)
+		attached := oc.attached[pi]
 		for si := range oc.speakers {
-			slot[si] = -1
-			if connected[si][p] {
+			sc.slot[si] = -1
+			if len(attached) > 0 && attached[0] == int32(si) {
+				attached = attached[1:]
 				continue // connected route wins; OSPF never overrides it
 			}
-			d := devs[si]
 			best := int32(-1)
-			start := int32(len(nhArena))
+			start := int32(len(sc.nhs))
 			for _, lc := range cands[si] {
 				dn := dp[lc.nb]
-				if dn < 0 {
+				if dn < 0 || lc.in.denies(p) {
 					continue
 				}
 				cand := satAdd32(lc.cost, dn)
-				if n.filterDeniesOSPF(d, lc.iface, p) {
-					continue
-				}
 				switch {
 				case best == -1 || cand < best:
 					best = cand
-					nhArena = append(nhArena[:start], NextHop{Device: lc.nbName, Iface: lc.iface})
+					sc.nhs = append(sc.nhs[:start], NextHop{Device: lc.nbName, Iface: lc.iface})
 				case cand == best:
-					nhArena = append(nhArena, NextHop{Device: lc.nbName, Iface: lc.iface})
+					sc.nhs = append(sc.nhs, NextHop{Device: lc.nbName, Iface: lc.iface})
 				}
 			}
 			if best >= 0 {
-				seg := sortNextHops(nhArena[start:])
-				nhArena = nhArena[:int(start)+len(seg)]
-				slot[si] = int32(len(arena))
+				seg := sortNextHops(sc.nhs[start:])
+				sc.nhs = sc.nhs[:int(start)+len(seg)]
+				sc.slot[si] = int32(len(arena))
 				arena = append(arena, Route{Prefix: p, Source: SrcOSPF, Metric: int(best)})
-				spans = append(spans, span{start: start, end: int32(len(nhArena))})
+				sc.spans = append(sc.spans, nhSpan{start: start, end: int32(len(sc.nhs))})
 			}
 		}
+		nhs := append([]NextHop(nil), sc.nhs...)
+		out := make([]*Route, S)
 		for si := range oc.speakers {
-			if j := slot[si]; j >= 0 {
-				sp := spans[j]
-				arena[j].NextHops = nhArena[sp.start:sp.end:sp.end]
+			if j := sc.slot[si]; j >= 0 {
+				sp := sc.spans[j]
+				arena[j].NextHops = nhs[sp.start:sp.end:sp.end]
 				out[si] = &arena[j]
 			}
 		}
-		putOSPFRow(dp)
+		ospfScratchPool.Put(sc)
 		st.rows[pi] = out
 	})
 	return st
 }
 
-// filterDeniesOSPF reports whether the device's OSPF inbound
-// distribute-list on iface denies prefix p.
-func (n *Net) filterDeniesOSPF(d *config.Device, iface string, p netip.Prefix) bool {
-	if d.OSPF == nil {
-		return false
+// ospfInFilters resolves a device's OSPF inbound distribute-lists to
+// their compiled evaluations, by interface; nil when it has none. The
+// OSPF candidate scan and iBGP next-hop resolution resolve once per run
+// and router, not once per candidate.
+func (n *Net) ospfInFilters(d *config.Device) map[string]*listEval {
+	if d.OSPF == nil || len(d.OSPF.InFilters) == 0 {
+		return nil
 	}
-	name, ok := d.OSPF.InFilters[iface]
-	if !ok {
-		return false
+	out := make(map[string]*listEval, len(d.OSPF.InFilters))
+	for iface, list := range d.OSPF.InFilters {
+		out[iface] = n.listOf(d, list)
 	}
-	return n.denies(d, name, p)
+	return out
 }
 
 // nextHopsToRouter returns the OSPF first hops from router r toward router

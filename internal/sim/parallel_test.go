@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,14 +15,11 @@ import (
 // fibFingerprint canonically serializes every device's FIB so two
 // snapshots can be compared for exact equality.
 func fibFingerprint(snap *Snapshot) string {
-	var names []string
-	for n := range snap.FIBs {
-		names = append(names, n)
-	}
+	names := slices.Clone(snap.Devices())
 	sort.Strings(names)
 	var b strings.Builder
 	for _, n := range names {
-		fib := snap.FIBs[n]
+		fib := snap.FIB(n)
 		for _, p := range fib.Prefixes() {
 			rt := fib[p]
 			fmt.Fprintf(&b, "%s %v %v %d %v\n", n, p, rt.Source, rt.Metric, rt.NextHops)

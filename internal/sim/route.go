@@ -132,15 +132,22 @@ func (f FIB) Prefixes() []netip.Prefix {
 }
 
 // Snapshot is the result of simulating a configuration set: the derived
-// network view and every router's FIB.
+// network view and every device's FIB.
 //
-// FIBs, and the Routes they hold, are read-only. A later simulation of
-// the same Net is a delta over this one: it shares every FIB it does not
-// need to change, and every Route of a prefix no FilterDiff marked since,
+// The FIBs are stored column-major: one route column per prefix of the
+// Net's prefix table (every interface subnet, static prefix and BGP
+// network statement), indexed by the dense device table of Devices().
+// Every question the pipeline asks is per destination — "device d toward
+// prefix p" — and is answered by indexing a column (Route, and the
+// data-plane engines) rather than by hashing into a per-device table; FIB
+// assembles a per-device view on demand.
+//
+// Columns, and the Routes they hold, are read-only and shared by the
+// Snapshots of one Net: a later simulation of the same Net is a delta over
+// this one and reuses every column of a prefix no FilterDiff marked since,
 // so an edit made through one Snapshot would surface in the next.
 type Snapshot struct {
-	Net  *Net
-	FIBs map[string]FIB
+	Net *Net
 	// OSPFDist is the SPF distance view between routers of the same OSPF
 	// domain, with dense rows computed on demand per destination. ConfMask
 	// reads it as min_cost(r, r′) when assigning fake-link costs (the
@@ -148,6 +155,10 @@ type Snapshot struct {
 	// (Dist is nil-safe).
 	OSPFDist *DistMatrix
 
+	// tab is the Net's prefix and device table; cols[pi][di] is device
+	// di's route to prefix tab.prefixes[pi], nil when it has none.
+	tab  *prefixTable
+	cols [][]*Route
 	// workers is the Parallelism the Snapshot was simulated with; it also
 	// sizes the worker pool for destination-sharded data-plane extraction.
 	workers int
@@ -156,10 +167,6 @@ type Snapshot struct {
 	// simulated, so the cache is valid for the Snapshot's whole lifetime.
 	destMu      sync.Mutex
 	destEngines map[string]*destEngine
-	// devNames/devIdx is the dense device index shared by all engines.
-	devOnce  sync.Once
-	devNames []string
-	devIdx   map[string]int32
 	// whatIfRetraced / whatIfReused count how what-if traces were served:
 	// by re-walking a failure-pruned graph vs. reusing the cached
 	// no-failure result. See WhatIfStats.
@@ -167,17 +174,38 @@ type Snapshot struct {
 	whatIfReused   atomic.Int64
 }
 
-// FIB returns the FIB of a device (nil when absent).
-func (s *Snapshot) FIB(dev string) FIB { return s.FIBs[dev] }
+// Route returns device dev's FIB entry for exactly prefix p — no
+// longest-prefix match — or nil when it has none. The Route is shared:
+// read-only.
+func (s *Snapshot) Route(dev string, p netip.Prefix) *Route {
+	di, okd := s.tab.devIdx[dev]
+	pi, okp := s.tab.idx[p]
+	if !okd || !okp {
+		return nil
+	}
+	return s.cols[pi][di]
+}
+
+// FIB returns a device's FIB as a map, assembled from the columns on each
+// call (nil when the device is absent). The Routes are shared: read-only.
+func (s *Snapshot) FIB(dev string) FIB {
+	di, ok := s.tab.devIdx[dev]
+	if !ok {
+		return nil
+	}
+	fib := make(FIB)
+	for pi, col := range s.cols {
+		if rt := col[di]; rt != nil {
+			fib[s.tab.prefixes[pi]] = rt
+		}
+	}
+	return fib
+}
 
 // NextHopRouters returns the next-hop device names for dest prefix p at
 // router r, in sorted order; nil when the router has no route.
 func (s *Snapshot) NextHopRouters(r string, p netip.Prefix) []string {
-	f := s.FIBs[r]
-	if f == nil {
-		return nil
-	}
-	rt := f[p]
+	rt := s.Route(r, p)
 	if rt == nil {
 		return nil
 	}

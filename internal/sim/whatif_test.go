@@ -68,22 +68,18 @@ func TestWhatIfMatchesNaiveCorrupted(t *testing.T) {
 			r := routers[rng.Intn(len(routers))]
 			h := hosts[rng.Intn(len(hosts))]
 			pfx := snap.Net.HostPrefix[h]
-			fib := snap.FIBs[r]
-			if fib == nil {
-				continue
-			}
 			switch rng.Intn(4) {
 			case 0:
 				tgt := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
 			case 1:
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
 			case 2:
-				delete(fib, pfx)
+				setRoute(snap, r, pfx, nil)
 			case 3:
-				fib[pfx] = &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}}
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
 			}
 		}
 		for _, f := range randomFailures(cfg, snap.Net.Links, rng) {
@@ -169,7 +165,7 @@ func TestWhatIfLoopAndBlackHoleClassification(t *testing.T) {
 	snap := chainNet(t)
 	// Corrupt r1: traffic toward hb bounces back to r0 (loop r0<->r1).
 	pfx := snap.Net.HostPrefix["hb"]
-	snap.FIBs["r1"][pfx] = &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: "r0"}}}
+	setRoute(snap, "r1", pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: "r0"}}})
 
 	// Failure elsewhere (node r2): the loop is still the outcome.
 	ps := snap.TraceUnderFailure("ha", "hb", Failure{Node: "r2"})
