@@ -298,7 +298,7 @@ func Verify(original, anonymized map[string]string) error {
 			return fmt.Errorf("confmask: host %s missing from anonymized network", h)
 		}
 	}
-	diffs := sim.DiffPairs(so.DataPlaneFor(hosts), sa.DataPlaneFor(hosts), hosts)
+	diffs := sim.DiffForwarding(so, sa, hosts)
 	if len(diffs) > 0 {
 		return fmt.Errorf("confmask: %d host pairs forward differently (first: %s→%s)", len(diffs), diffs[0].Src, diffs[0].Dst)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"confmask/internal/anonymize"
 	"confmask/internal/config"
 	"confmask/internal/sim"
 )
@@ -115,27 +114,12 @@ func ImportCheckpoint(base *Checkpoint, baseConfigs, newConfigs map[string]strin
 	for dev, ifs := range base.InjectedIfaces {
 		injected[dev] = append([]string(nil), ifs...)
 	}
-	// The baseline digest columns survive the edit untouched: path keys
-	// are device names and statuses, which a decision-identical edit
-	// cannot change, so the seeded resume skips re-extracting every
-	// destination should a later stage need the baseline plane.
-	var digests *anonymize.BaselineDigestDoc
-	if d := base.BaselineDigests; d != nil {
-		digests = &anonymize.BaselineDigestDoc{
-			Hosts: append([]string(nil), d.Hosts...),
-			Cols:  make(map[string]string, len(d.Cols)),
-		}
-		for dst, col := range d.Cols {
-			digests.Cols[dst] = col
-		}
-	}
 	return &Checkpoint{
-		Stage:           base.Stage,
-		Configs:         cpNet.Render(),
-		RNGDraws:        base.RNGDraws,
-		InjectedIfaces:  injected,
-		Report:          base.Report,
-		BaselineDigests: digests,
+		Stage:          base.Stage,
+		Configs:        cpNet.Render(),
+		RNGDraws:       base.RNGDraws,
+		InjectedIfaces: injected,
+		Report:         base.Report,
 	}, edited, nil
 }
 

@@ -53,18 +53,6 @@ func TestImportCheckpointByteIdentity(t *testing.T) {
 	if len(touched) != 1 || touched[0] != dev {
 		t.Fatalf("edited devices = %v, want [%s]", touched, dev)
 	}
-	// The baseline digest plane is edit-invariant (path keys never see
-	// cosmetic fields), so the adapted checkpoint must carry it forward
-	// for seeded resumes.
-	if last.BaselineDigests != nil {
-		if cp.BaselineDigests == nil {
-			t.Fatal("adapted checkpoint dropped the baseline digests")
-		}
-		if len(cp.BaselineDigests.Cols) != len(last.BaselineDigests.Cols) {
-			t.Fatalf("adapted digest columns %d, want %d",
-				len(cp.BaselineDigests.Cols), len(last.BaselineDigests.Cols))
-		}
-	}
 
 	var stagesRun []string
 	fast := o

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 
 	"confmask/internal/config"
 	"confmask/internal/kdegree"
@@ -268,7 +269,7 @@ func anonymityGroups(view *sim.Net, fakeHosts []string, gw, realOf map[string]st
 // output, such as the anonymity metrics tests.
 func realTwin(fh string, hosts []string) string {
 	for _, h := range hosts {
-		if len(fh) > len(h) && fh[:len(h)] == h && fh[len(h):len(h)+3] == "-fk" {
+		if strings.HasPrefix(fh, h+"-fk") {
 			return h
 		}
 	}

@@ -61,7 +61,7 @@ func TestRepairRechecksAfterLastRemoval(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.KR, opts.NoiseP = 1, 1
-			base, err := newBaseline(tc.cfg, opts.simOpts(), nil)
+			base, err := newBaseline(tc.cfg, opts.simOpts())
 			if err != nil {
 				t.Fatal(err)
 			}

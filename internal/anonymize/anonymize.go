@@ -254,11 +254,7 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 		opts.progress("preprocess", 0)
 		t0 = time.Now()
 		a0 := totalAlloc()
-		var digestSeed map[string][]byte
-		if opts.Resume != nil {
-			digestSeed = baselineDigestSeed(opts.Resume, cfg.Hosts())
-		}
-		base, err = newBaseline(cfg, opts.simOpts(), digestSeed)
+		base, err = newBaseline(cfg, opts.simOpts())
 		if err != nil {
 			return nil, nil, fmt.Errorf("anonymize: preprocessing: %w", err)
 		}
@@ -290,7 +286,7 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 		rep.FakeEdges = fake
 		rep.Timing.Topology = time.Since(t0)
 		rep.Alloc.Topology = totalAlloc() - a0
-		opts.emitCheckpoint("topology", out, src, rep, base)
+		opts.emitCheckpoint("topology", out, src, rep)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -319,7 +315,7 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 		}
 		rep.Timing.RouteEquiv = time.Since(t0)
 		rep.Alloc.RouteEquiv = totalAlloc() - a0
-		opts.emitCheckpoint("equivalence", out, src, rep, base)
+		opts.emitCheckpoint("equivalence", out, src, rep)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -342,7 +338,7 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 			rep.AnonFilters = filters
 			rep.Timing.RouteAnon = time.Since(t0)
 			rep.Alloc.RouteAnon = totalAlloc() - a0
-			opts.emitCheckpoint("anonymity", out, src, rep, base)
+			opts.emitCheckpoint("anonymity", out, src, rep)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -357,28 +353,15 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 }
 
 // baseline is the preprocessed view of the original network Algorithm 1
-// compares against: its topology (edge set E), its data plane, and its
-// FIBs (snap.Route(r, dest) is DP[r, dest], the original next hops).
+// compares against: its topology (edge set E) and its Snapshot, whose FIBs
+// hold the original next hops (snap.Route(r, dest) is DP[r, dest]) and
+// which sim.DiffForwarding checks the anonymized network against.
 type baseline struct {
 	cfg  *config.Network
 	snap *sim.Snapshot
 	topo *topology.Graph
-	// dpDig is the original data plane as per-pair 128-bit digests — all
-	// the ConfMask pipeline needs for its equivalence checks, at 16 bytes
-	// per ordered pair instead of materialized path sets. It is built
-	// lazily (dpDigOnce): route anonymity never reads it, so a resume
-	// that skips the equivalence stage skips the extraction entirely.
-	// dpCols, when non-nil, seeds the extraction with per-destination
-	// columns recovered from a checkpoint (sim.PairDigestsForSeeded), so
-	// a resumed run re-derives only destinations the seed doesn't cover.
-	// dpDigDone flags completed extraction for checkpoint export without
-	// forcing it; the pipeline is single-goroutine at every read site.
-	dpDigOnce sync.Once
-	dpDig     *sim.PairDigests
-	dpDigDone bool
-	dpCols    map[string][]byte
-	// dp is the fully materialized data plane, built lazily: only the
-	// strawman baselines compare per-pair hop sequences.
+	// dp is the fully materialized data plane, built lazily: only
+	// strawman 2 compares per-pair hop sequences.
 	dpOnce sync.Once
 	dp     *sim.DataPlane
 	hosts  []string
@@ -390,7 +373,7 @@ type baseline struct {
 	external []netip.Prefix
 }
 
-func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string][]byte) (*baseline, error) {
+func newBaseline(cfg *config.Network, simOpts sim.Options) (*baseline, error) {
 	snap, err := sim.SimulateOpts(cfg, simOpts)
 	if err != nil {
 		return nil, err
@@ -399,7 +382,6 @@ func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string
 		cfg:      cfg,
 		snap:     snap,
 		topo:     snap.Net.Topology(),
-		dpCols:   digestSeed,
 		hosts:    cfg.Hosts(),
 		external: snap.Net.ExternalDestinations(),
 	}
@@ -410,19 +392,10 @@ func newBaseline(cfg *config.Network, simOpts sim.Options, digestSeed map[string
 	return b, nil
 }
 
-// digests extracts (once) the original data plane's per-pair digest
-// view, honoring any checkpoint-recovered seed columns.
-func (b *baseline) digests() *sim.PairDigests {
-	b.dpDigOnce.Do(func() {
-		b.dpDig = b.snap.PairDigestsForSeeded(b.hosts, b.dpCols)
-		b.dpDigDone = true
-	})
-	return b.dpDig
-}
-
 // dataPlane materializes the original network's full data plane on first
-// use. The ConfMask pipeline itself never calls this — it compares dpDig
-// digests — so large runs avoid holding H² path sets for the baseline.
+// use. Only strawman 2 calls it — the other strategies check equivalence
+// with sim.DiffForwarding — so large runs avoid holding H² path sets for
+// the baseline.
 func (b *baseline) dataPlane() *sim.DataPlane {
 	b.dpOnce.Do(func() { b.dp = b.snap.DataPlaneFor(b.hosts) })
 	return b.dp

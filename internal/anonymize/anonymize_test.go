@@ -413,6 +413,11 @@ func TestRealTwin(t *testing.T) {
 	if got := realTwin("unrelated", hosts); got != "" {
 		t.Fatalf("realTwin = %q", got)
 	}
+	// A name one byte longer than a host but shorter than the "-fk"
+	// suffix must not slice out of range.
+	if got := realTwin("h1x", hosts); got != "" {
+		t.Fatalf("realTwin = %q", got)
+	}
 }
 
 func TestFakeEdgesReported(t *testing.T) {

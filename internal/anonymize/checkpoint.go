@@ -1,10 +1,8 @@
 package anonymize
 
 import (
-	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"confmask/internal/config"
@@ -45,43 +43,6 @@ type StageCheckpoint struct {
 	// Report is the partial report at the stage boundary (utility metrics
 	// are recomputed at the end of the run and may be zero here).
 	Report *Report `json:"report"`
-	// BaselineDigests, when present, carries the preprocessed baseline's
-	// per-destination digest columns, so a resumed run's equivalence
-	// stage seeds its digest plane instead of re-extracting every
-	// destination (sim.PairDigestsForSeeded).
-	BaselineDigests *BaselineDigestDoc `json:"baseline_digests,omitempty"`
-}
-
-// BaselineDigestDoc is the serialized form of the baseline's per-pair
-// digest plane: per-destination columns (hex of
-// sim.PairDigests.ExportColumns) over an explicit host order. The host
-// list gates reuse — a resume only seeds from the doc when its hosts
-// match the input's host list exactly, since the column layout is
-// defined by that order.
-type BaselineDigestDoc struct {
-	Hosts []string          `json:"hosts"`
-	Cols  map[string]string `json:"cols"`
-}
-
-// baselineDigestSeed decodes the checkpoint's digest doc into seed
-// columns for newBaseline, or nil when the doc is absent or was taken
-// over a different host list. Individual columns that fail to decode
-// are dropped (they fall back to extraction); hex length mismatches
-// are caught downstream by the seeded extractor's column-length gate.
-func baselineDigestSeed(cp *StageCheckpoint, hosts []string) map[string][]byte {
-	doc := cp.BaselineDigests
-	if doc == nil || !slices.Equal(doc.Hosts, hosts) {
-		return nil
-	}
-	seed := make(map[string][]byte, len(doc.Cols))
-	for dst, h := range doc.Cols {
-		col, err := hex.DecodeString(h)
-		if err != nil {
-			continue
-		}
-		seed[dst] = col
-	}
-	return seed
 }
 
 // stageRank orders the checkpointable stages; resuming at a stage skips
@@ -187,41 +148,17 @@ func cloneReportForCheckpoint(rep *Report) *Report {
 // emitCheckpoint snapshots the pipeline at a completed stage boundary and
 // hands it to the Checkpoint callback. The snapshot is self-contained: the
 // callback may serialize it, persist it, or drop it at will.
-//
-// The baseline's digest plane rides along whenever it exists: at the
-// topology boundary the ConfMask strategy forces the extraction (the
-// very next stage needs the plane anyway, so the work is moved, not
-// added), and later boundaries export whatever the run computed — so a
-// process that dies mid-equivalence resumes without re-deriving a
-// single clean destination.
-func (o Options) emitCheckpoint(stage string, out *config.Network, src *countingSource, rep *Report, base *baseline) {
+func (o Options) emitCheckpoint(stage string, out *config.Network, src *countingSource, rep *Report) {
 	if o.Checkpoint == nil {
 		return
 	}
-	cp := &StageCheckpoint{
+	o.Checkpoint(&StageCheckpoint{
 		Stage:          stage,
 		Configs:        out.Render(),
 		RNGDraws:       src.n,
 		InjectedIfaces: injectedIfaces(out),
 		Report:         cloneReportForCheckpoint(rep),
-	}
-	if base != nil {
-		if stage == "topology" && o.Strategy == ConfMask {
-			base.digests()
-		}
-		if base.dpDigDone {
-			cols := base.dpDig.ExportColumns()
-			doc := &BaselineDigestDoc{
-				Hosts: append([]string(nil), base.hosts...),
-				Cols:  make(map[string]string, len(cols)),
-			}
-			for dst, col := range cols {
-				doc.Cols[dst] = hex.EncodeToString(col)
-			}
-			cp.BaselineDigests = doc
-		}
-	}
-	o.Checkpoint(cp)
+	})
 }
 
 // resumeState rebuilds the pipeline's working state from a checkpoint:

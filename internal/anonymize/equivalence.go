@@ -251,12 +251,10 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 		}
 		filters += changed
 		if changed == 0 {
-			// Functional-equivalence assertion over digests: per-pair
-			// 128-bit fingerprints of the canonical path sets, extracted
-			// through transient per-destination engines — no H² path
-			// materialization for either side of the comparison.
-			anonDig := snap.PairDigestsFor(base.hosts)
-			if pairs := base.digests().DiffPairs(anonDig); len(pairs) != 0 {
+			// Functional-equivalence assertion: destinations whose
+			// successor graphs match the original's are equal outright;
+			// only the others are digested (sim.DiffForwarding).
+			if pairs := sim.DiffForwarding(base.snap, snap, base.hosts); len(pairs) != 0 {
 				return iter, filters, fmt.Errorf("converged after %d iterations but %d host pairs still differ (first: %v)", iter, len(pairs), pairs[0])
 			}
 			// External equivalence classes: every router's next-hop set

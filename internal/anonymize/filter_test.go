@@ -101,7 +101,7 @@ func TestSanitize(t *testing.T) {
 
 func TestFakeLinkCostsDefaults(t *testing.T) {
 	cfg := ripNet(t)
-	base, err := newBaseline(cfg, sim.Options{}, nil)
+	base, err := newBaseline(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFakeLinkCostsDefaults(t *testing.T) {
 		t.Fatalf("RIP fake link costs = %d,%d, want defaults", a, b)
 	}
 	cfg2 := ospfNet(t)
-	base2, err := newBaseline(cfg2, sim.Options{}, nil)
+	base2, err := newBaseline(cfg2, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

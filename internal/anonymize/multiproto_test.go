@@ -96,7 +96,7 @@ func multiProtoNet(t *testing.T) *config.Network {
 // the original forwarding exactly.
 func TestRouteEquivalenceMultiProtocol(t *testing.T) {
 	cfg := multiProtoNet(t)
-	base, err := newBaseline(cfg, sim.Options{}, nil)
+	base, err := newBaseline(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

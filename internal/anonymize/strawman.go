@@ -38,12 +38,7 @@ func strawman1(out *config.Network, base *baseline, opts Options) (int, int, err
 	// simulation after re-deriving the filter caches.
 	view.InvalidateFilters()
 	snap := sim.SimulateNetOpts(view, opts.simOpts())
-	dp := snap.DataPlaneFor(base.hosts)
-	if !sim.EqualOver(base.dataPlane(), dp, base.hosts) {
-		pairs := sim.DiffPairs(base.dataPlane(), dp, base.hosts)
-		if len(pairs) == 0 {
-			return 1, filters, fmt.Errorf("strawman1 left data planes different")
-		}
+	if pairs := sim.DiffForwarding(base.snap, snap, base.hosts); len(pairs) != 0 {
 		return 1, filters, fmt.Errorf("strawman1 left %d host pairs different (first: %v)", len(pairs), pairs[0])
 	}
 	return 1, filters, nil

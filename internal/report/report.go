@@ -64,7 +64,7 @@ func Build(label string, orig, anon *config.Network, opts anonymize.Options, rep
 		return nil, fmt.Errorf("report: simulate anonymized: %w", err)
 	}
 	hosts := orig.Hosts()
-	diffs := sim.DiffPairs(so.DataPlaneFor(hosts), sa.DataPlaneFor(hosts), hosts)
+	diffs := sim.DiffForwarding(so, sa, hosts)
 	a.Equivalent = len(diffs) == 0
 	if !a.Equivalent {
 		a.EquivalenceNote = fmt.Sprintf("%d host pairs forward differently (first: %s→%s)", len(diffs), diffs[0].Src, diffs[0].Dst)

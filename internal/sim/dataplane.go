@@ -258,8 +258,13 @@ func (e *destEngine) keyDigest(i int32, ps []Path) Digest {
 // digestFor returns only the fingerprint of the canonical path set from
 // src. Unlike pathsFor the result is not cached in bySrc — digest-only
 // extraction queries each source exactly once per destination — except
-// for sources that must be walked, which go through the caching path.
+// for sources that must be walked, which go through the caching path. A
+// nil engine (unknown destination) yields the zero digest of the empty
+// path set, like TraceFrom's nil.
 func (e *destEngine) digestFor(src string) Digest {
+	if e == nil {
+		return Digest{}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if r, ok := e.bySrc[src]; ok {
@@ -449,11 +454,11 @@ func (s *Snapshot) engineFor(dst string) *destEngine {
 }
 
 // transientEngineFor builds an engine for dst without registering it in
-// the Snapshot's cache: digest-only extraction (PairDigestsFor) creates
-// one engine per destination and drops it as soon as that destination's
-// column is hashed, so the successor graph and suffix-memo storage are
-// reclaimed instead of accumulating one retained engine per host. Returns
-// nil when dst is not a known host, like engineFor.
+// the Snapshot's cache: PairDigestsFor and DiffForwarding create one
+// engine per destination and drop it as soon as that destination is
+// done, so the successor graph and suffix-memo storage are reclaimed
+// instead of accumulating one retained engine per host. Returns nil when
+// dst is not a known host, like engineFor.
 func (s *Snapshot) transientEngineFor(dst string) *destEngine {
 	pfx, known := s.Net.HostPrefix[dst]
 	if !known {

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"crypto/sha256"
-	"sort"
+	"slices"
 )
 
 // This file is the memory-bounded fingerprint layer of the data-plane
@@ -14,7 +14,8 @@ import (
 // sequence: equality of digests stands in for equality of canonical keys
 // everywhere only equality is needed (EqualOver, DiffPairs,
 // ExactlyKeptFraction), while diff and repair still work over the exact
-// materialized paths.
+// materialized paths. DiffForwarding, the pipeline's equivalence check,
+// digests only the destinations whose successor graphs differ.
 //
 // The digest is the first 128 bits of SHA-256 over the canonical key
 // bytes. Two distinct path sets collide with probability ~2⁻¹²⁸ per pair
@@ -105,12 +106,7 @@ func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	sortPairs(out)
 	return out
 }
 
@@ -124,59 +120,14 @@ func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 // digests are identical to the ones a full DataPlaneFor extraction
 // computes for the same Snapshot.
 func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
-	return s.PairDigestsForSeeded(hosts, nil)
-}
-
-// digestColLen is the serialized size of one destination's digest
-// column: one 16-byte digest per source, in hosts order.
-func digestColLen(hosts []string) int { return len(hosts) * 16 }
-
-// ExportColumns serializes the digest plane as per-destination columns:
-// the column for destination d is the concatenation of the (src, d)
-// digests for every src in the plane's hosts order (the zero diagonal
-// slot included, so a column is always 16×len(hosts) bytes). Columns
-// are the unit of reuse for checkpointed digest planes — a resumed job
-// seeds PairDigestsForSeeded with the columns of destinations its edit
-// left clean.
-func (pd *PairDigests) ExportColumns() map[string][]byte {
-	out := make(map[string][]byte, len(pd.hosts))
-	for j, dst := range pd.hosts {
-		col := make([]byte, 0, digestColLen(pd.hosts))
-		for _, d := range pd.column(j) {
-			col = append(col, d[:]...)
-		}
-		out[dst] = col
-	}
-	return out
-}
-
-// PairDigestsForSeeded is PairDigestsFor with a per-destination seed: a
-// destination whose seed column is present and well-formed (exactly
-// 16×len(hosts) bytes, in hosts order — ExportColumns of a plane over
-// the same host list) is decoded from the seed instead of extracted
-// from the Snapshot; only the remaining destinations pay a
-// successor-graph engine. Seed columns are trusted — the caller
-// guarantees they came from an identical-decision Snapshot over the
-// same hosts — and malformed or missing columns silently fall back to
-// extraction, so a stale or partial seed degrades to correct work, not
-// to wrong digests.
-func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) *PairDigests {
 	pd := newPairDigests(hosts)
-	colLen := digestColLen(hosts)
 	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
-		row := pd.column(j)
-		if col, ok := seed[dst]; ok && len(col) == colLen {
-			for i := range row {
-				copy(row[i][:], col[i*16:])
-			}
-			row[j] = Digest{} // diagonal stays reserved-zero regardless
-			return
-		}
 		e := s.transientEngineFor(dst)
 		if e == nil {
 			return // unknown destination: zero digests, like TraceFrom's nil
 		}
+		row := pd.column(j)
 		for i, src := range hosts {
 			if src != dst {
 				row[i] = e.digestFor(src)
@@ -184,6 +135,68 @@ func (s *Snapshot) PairDigestsForSeeded(hosts []string, seed map[string][]byte) 
 		}
 	})
 	return pd
+}
+
+// DiffForwarding returns the ordered pairs drawn from hosts whose path
+// sets differ between orig and anon, sorted like DiffPairs and identical
+// at any worker count — the strong-functional-equivalence check (§5.1)
+// without extracting either data plane.
+//
+// Per destination it builds both Snapshots' successor graphs through
+// transient engines. When every node a walk from hosts can visit in
+// orig's graph has the same kind and the same successor names, in the
+// same order, in anon's (sameSuccessors), every walk from those hosts
+// sees one graph on both sides, so the path sets are equal — the
+// maxTracePaths cut and the depth bound included, since both are
+// functions of the graph and its successor order — and the destination
+// is skipped. Only the remaining destinations digest their pairs on both
+// sides and report the pairs that differ.
+func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
+	cols := make([][]Pair, len(hosts))
+	forEachIndex(orig.traceWorkers(), len(hosts), func(j int) {
+		dst := hosts[j]
+		eo, ea := orig.transientEngineFor(dst), anon.transientEngineFor(dst)
+		if eo != nil && ea != nil && sameSuccessors(eo, ea, hosts) {
+			return
+		}
+		for _, src := range hosts {
+			if src != dst && eo.digestFor(src) != ea.digestFor(src) {
+				cols[j] = append(cols[j], Pair{Src: src, Dst: dst})
+			}
+		}
+	})
+	out := slices.Concat(cols...)
+	sortPairs(out)
+	return out
+}
+
+// sameSuccessors reports whether every node of e's successor graph — each
+// configured device of e's Snapshot, each out-of-config successor, and
+// each of srcs — has the same kind and the same successor names, in the
+// same order, in o's graph toward the same destination. A node outside
+// o's configured set counts as a black hole there, as it does for the
+// walker. It builds both engines, so they must be fresh transient engines
+// owned by the caller.
+func sameSuccessors(e, o *destEngine, srcs []string) bool {
+	e.build()
+	o.build()
+	for _, src := range srcs {
+		e.indexOf(src)
+	}
+	for i := range e.nodes {
+		n := &e.nodes[i]
+		j := o.indexOf(e.nameAt[i])
+		m := &o.nodes[j]
+		if n.kind != m.kind || len(n.succ) != len(m.succ) {
+			return false
+		}
+		for k, s := range n.succ {
+			if e.nameAt[s] != o.nameAt[m.succ[k]] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Digests returns the fingerprint-only view of an extracted DataPlane,

@@ -194,72 +194,3 @@ func BenchmarkSortPathsByKeyFatTree08(b *testing.B) {
 		_, _ = sortPathsByKey(sets[i%len(sets)])
 	}
 }
-
-// TestPairDigestsSeeded pins the seeded extraction path: well-formed seed
-// columns are copied verbatim (proving reuse, via a deliberately corrupted
-// column), malformed or extra columns fall back to extraction, and an
-// ExportColumns round trip reproduces the unseeded plane exactly.
-func TestPairDigestsSeeded(t *testing.T) {
-	cfg, err := netgen.Enterprise()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := snap.Hosts()
-	want := snap.PairDigestsFor(hosts)
-	cols := want.ExportColumns()
-	if len(cols) != len(hosts) {
-		t.Fatalf("ExportColumns: %d columns, want %d", len(cols), len(hosts))
-	}
-
-	// Full seed round trip: every pair identical, no extraction needed.
-	seeded := snap.PairDigestsForSeeded(hosts, cols)
-	if !seeded.Equal(want) || !want.Equal(seeded) {
-		t.Fatal("fully seeded plane differs from extracted plane")
-	}
-
-	// Partial seed: drop one column; that destination is re-extracted.
-	partial := make(map[string][]byte, len(cols))
-	for d, c := range cols {
-		partial[d] = c
-	}
-	delete(partial, hosts[0])
-	if pd := snap.PairDigestsForSeeded(hosts, partial); !pd.Equal(want) {
-		t.Fatal("partially seeded plane differs from extracted plane")
-	}
-
-	// Corrupted column: the seeded plane must reflect the corruption —
-	// seed columns are trusted, never recomputed — which is the
-	// observable proof that seeding skips extraction.
-	corrupt := make(map[string][]byte, len(cols))
-	for d, c := range cols {
-		corrupt[d] = append([]byte(nil), c...)
-	}
-	victim := hosts[len(hosts)-1]
-	corrupt[victim][0] ^= 0xff
-	pd := snap.PairDigestsForSeeded(hosts, corrupt)
-	var src string
-	for _, h := range hosts {
-		if h != victim {
-			src = h
-			break
-		}
-	}
-	got, _ := pd.Digest(src, victim)
-	if w, _ := want.Digest(src, victim); got == w {
-		t.Fatal("corrupted seed column was recomputed instead of reused")
-	}
-
-	// Malformed column lengths fall back to extraction.
-	bad := map[string][]byte{victim: corrupt[victim][:8]}
-	if pd := snap.PairDigestsForSeeded(hosts, bad); !pd.Equal(want) {
-		t.Fatal("short seed column was not ignored")
-	}
-	bad[victim] = append(corrupt[victim], 0)
-	if pd := snap.PairDigestsForSeeded(hosts, bad); !pd.Equal(want) {
-		t.Fatal("overlong seed column was not ignored")
-	}
-}

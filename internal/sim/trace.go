@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -205,13 +206,15 @@ func DiffPairs(a, b *DataPlane, hosts []string) []Pair {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+	sortPairs(out)
 	return out
+}
+
+// sortPairs orders pairs by source, then destination.
+func sortPairs(ps []Pair) {
+	slices.SortFunc(ps, func(a, b Pair) int {
+		return cmp.Or(strings.Compare(a.Src, b.Src), strings.Compare(a.Dst, b.Dst))
+	})
 }
 
 // ExactlyKeptFraction returns the fraction of ordered host pairs whose path
