@@ -45,7 +45,8 @@ type Options struct {
 	// fake twins on the same ingress router. Default 2.
 	KH int
 	// NoiseP is the probability a fake-host FIB entry receives a deny
-	// filter (route diversification). Default 0.1.
+	// filter (route diversification). 0 selects the default, 0.1; any
+	// other value must lie in (0, 1].
 	NoiseP float64
 	// Seed drives all randomness; equal seeds reproduce outputs exactly.
 	Seed int64
@@ -121,7 +122,7 @@ func (o Options) internal() (anonymize.Options, error) {
 	if o.KH > 0 {
 		opts.KH = o.KH
 	}
-	if o.NoiseP > 0 {
+	if o.NoiseP != 0 {
 		opts.NoiseP = o.NoiseP
 	}
 	opts.Seed = o.Seed
@@ -374,11 +375,15 @@ func Inspect(configs map[string]string) (*Info, error) {
 
 // Trace simulates the network and returns every forwarding path from host
 // src to host dst as device-name sequences (ECMP branches included). The
-// boolean reports whether traffic is delivered on all paths.
+// boolean reports whether traffic is delivered on all paths. A src the
+// network does not configure is an error.
 func Trace(configs map[string]string, src, dst string) ([][]string, bool, error) {
 	net, _, err := parseAny(configs)
 	if err != nil {
 		return nil, false, err
+	}
+	if net.Device(src) == nil {
+		return nil, false, fmt.Errorf("confmask: unknown src device %q", src)
 	}
 	snap, err := sim.Simulate(net)
 	if err != nil {

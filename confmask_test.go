@@ -3,6 +3,7 @@ package confmask
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,17 @@ func TestAnonymizeBadStrategy(t *testing.T) {
 	}
 }
 
+func TestAnonymizeBadNoiseP(t *testing.T) {
+	configs := exampleConfigs(t, "Backbone")
+	for _, p := range []float64{1.5, -0.5, math.NaN()} {
+		opts := DefaultOptions()
+		opts.NoiseP = p
+		if _, _, err := Anonymize(configs, opts); err == nil {
+			t.Fatalf("NoiseP %v: expected error", p)
+		}
+	}
+}
+
 func TestAnonymizeBadConfigs(t *testing.T) {
 	if _, _, err := Anonymize(map[string]string{"x": "interface Y\n"}, DefaultOptions()); err == nil {
 		t.Fatal("expected parse error")
@@ -105,6 +117,9 @@ func TestTraceAPI(t *testing.T) {
 	}
 	if _, _, err := Trace(configs, "h1", "nope"); err == nil {
 		t.Fatal("expected error for unknown host")
+	}
+	if _, _, err := Trace(configs, "nope", "h1"); err == nil {
+		t.Fatal("expected error for unknown src device")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"confmask/internal/config"
-	"confmask/internal/kdegree"
 	"confmask/internal/netaddr"
 	"confmask/internal/netbuild"
 	"confmask/internal/sim"
@@ -53,10 +52,10 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 
 	// Expected reachability: a fake twin should be reachable from a router
 	// exactly when its real twin was in the original network. One dense
-	// delivered vector per real host answers every router at once from the
-	// base snapshot's per-destination census (sim.DeliveredFrom) — no path
-	// materialization — and is cached across repair rounds; k_H = 1 runs
-	// pay nothing.
+	// delivered vector per real host answers every router at once from one
+	// reverse walk of the base snapshot's successor graph (sim.DeliveredFrom)
+	// — no path materialization — and is cached across repair rounds;
+	// k_H = 1 runs pay nothing.
 	routers := out.Routers()
 	expect := make(map[string][]bool, len(base.hosts))
 	expectFor := func(h string) []bool {
@@ -127,15 +126,11 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	//
 	// Rounds split into two phases. Phase 1 computes each dirty fake
 	// host's delivered vector over all routers — a pure read of the round
-	// snapshot's per-destination census — sharded across hub-separated
-	// router partitions (anonymityGroups, the same decomposition Algorithm
-	// 3 partitions by). Phase 2 applies the removal decisions sequentially
-	// in the global fakeHosts × routers order against the same (stale
-	// within the round) vectors — exactly the order and the data the
-	// pre-partition loop used, since its own checks also read the
-	// unchanged round snapshot. Output is therefore byte-identical at any
-	// worker count and whether or not the graph decomposes.
-	groups, _ := anonymityGroups(view, fakeHosts, gw, realOf, opts.KR)
+	// snapshot, one reverse walk per host (sim.DeliveredFrom) — sharded by
+	// index across the workers, each host writing its own slot. Phase 2
+	// applies the removal decisions sequentially in the global fakeHosts ×
+	// routers order against those same (stale within the round) vectors.
+	// Output is therefore byte-identical at any worker count.
 	workers := opts.simOpts().Workers()
 	broken := make(map[string]bool)
 	records := kept
@@ -150,38 +145,22 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 		// Hosts found broken last round stay dirty even when their prefix
 		// is clean (a failed removal leaves them broken with unchanged
 		// filters, which must surface as an error below).
-		dirtyByGroup := make([][]string, len(groups))
-		for gi, g := range groups {
-			for _, fh := range g {
-				if round > 0 && !broken[fh] && !diff.Affects(fakePrefix[fh]) {
-					continue
-				}
-				dirtyByGroup[gi] = append(dirtyByGroup[gi], fh)
+		var dirty []string
+		for _, fh := range fakeHosts {
+			if round == 0 || broken[fh] || diff.Affects(fakePrefix[fh]) {
+				dirty = append(dirty, fh)
 			}
 		}
-		vecByGroup := make([][][]bool, len(groups))
-		sim.ForEachIndex(workers, len(groups), func(gi int) {
-			vecs := make([][]bool, len(dirtyByGroup[gi]))
-			for i, fh := range dirtyByGroup[gi] {
-				vecs[i] = snap.DeliveredFrom(fh, routers)
-			}
-			vecByGroup[gi] = vecs
+		vecs := make([][]bool, len(dirty))
+		sim.ForEachIndex(workers, len(dirty), func(i int) {
+			vecs[i] = snap.DeliveredFrom(dirty[i], routers)
 		})
-		got := make(map[string][]bool)
-		for gi, fhs := range dirtyByGroup {
-			for i, fh := range fhs {
-				got[fh] = vecByGroup[gi][i]
-			}
-		}
 
 		// Phase 2: sequential removal in global order.
 		removedAny := false
 		brokenAny := false
-		for _, fh := range fakeHosts {
-			vec, dirty := got[fh]
-			if !dirty {
-				continue
-			}
+		for di, fh := range dirty {
+			vec := vecs[di]
 			broken[fh] = false
 			exp := expectFor(realOf[fh])
 			for ri, r := range routers {
@@ -214,53 +193,6 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 		}
 	}
 	return nil, 0, fmt.Errorf("route anonymity: repair did not converge within %d rounds", records+1)
-}
-
-// anonymityGroups shards the fake hosts for the repair loop's phase-1
-// delivery checks: the hub-separated router partitions of the working
-// network (kdegree.Partition — the decomposition Algorithm 3
-// parallelizes by) group the fake hosts by the partition holding their
-// gateway. Grouping is purely a sharding decision — phase 1 is read-only
-// and phase 2 applies removals in global order — so it can never change
-// the output, and any failure to decompose (small network, no hub
-// separation, a gateway outside every partition such as a host attached
-// directly to a hub) falls back to the global path: one group holding
-// every fake host, checked as a single shard. The second return reports
-// whether the hub decomposition applied.
-func anonymityGroups(view *sim.Net, fakeHosts []string, gw, realOf map[string]string, kR int) ([][]string, bool) {
-	global := [][]string{fakeHosts}
-	g := view.Topology().RouterSubgraph()
-	if g.NumNodes() < partitionMinRouters {
-		return global, false
-	}
-	parts := kdegree.Partition(g, kR)
-	if parts == nil {
-		return global, false
-	}
-	partOf := make(map[string]int)
-	for pi, part := range parts {
-		for _, r := range part {
-			partOf[r] = pi
-		}
-	}
-	groups := make([][]string, len(parts))
-	for _, fh := range fakeHosts {
-		pi, ok := partOf[gw[realOf[fh]]]
-		if !ok {
-			return global, false
-		}
-		groups[pi] = append(groups[pi], fh)
-	}
-	out := groups[:0]
-	for _, grp := range groups {
-		if len(grp) > 0 {
-			out = append(out, grp)
-		}
-	}
-	if len(out) == 0 {
-		return global, false
-	}
-	return out, true
 }
 
 // realTwin recovers a fake host's real twin from its name pattern.

@@ -63,7 +63,8 @@ type Options struct {
 	// KH is the route anonymity parameter k_H: each real host gains
 	// KH−1 fake twins (§5.3).
 	KH int
-	// NoiseP is Algorithm 2's filter probability p (the paper uses 0.1).
+	// NoiseP is Algorithm 2's filter probability p (the paper uses 0.1),
+	// in [0, 1].
 	NoiseP float64
 	// Seed drives all randomness; equal seeds give identical outputs.
 	Seed int64
@@ -210,6 +211,9 @@ func Run(cfg *config.Network, opts Options) (*config.Network, *Report, error) {
 func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config.Network, *Report, error) {
 	if opts.KR < 1 || opts.KH < 1 {
 		return nil, nil, fmt.Errorf("anonymize: k_R and k_H must be ≥ 1 (got %d, %d)", opts.KR, opts.KH)
+	}
+	if !(opts.NoiseP >= 0 && opts.NoiseP <= 1) {
+		return nil, nil, fmt.Errorf("anonymize: noise probability p must lie in [0, 1] (got %v)", opts.NoiseP)
 	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 256

@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -336,6 +337,13 @@ func TestRunErrors(t *testing.T) {
 	opts.KR = 0
 	if _, _, err := Run(cfg, opts); err == nil {
 		t.Fatal("expected error for k_R = 0")
+	}
+	for _, p := range []float64{1.5, -0.1, math.NaN()} {
+		opts = DefaultOptions()
+		opts.NoiseP = p
+		if _, _, err := Run(cfg, opts); err == nil {
+			t.Fatalf("expected error for p = %v", p)
+		}
 	}
 }
 

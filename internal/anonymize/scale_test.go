@@ -99,8 +99,8 @@ func TestPipelineLargeNetworks(t *testing.T) {
 // ringNet builds a uniform-degree ring of n routers with hosts spread on
 // distinct routers: above the partition gate in size, but hub-free (the
 // hub threshold is 3× the ~2 average degree, which no router reaches),
-// so kdegree.Partition returns nil and every partition-parallel consumer
-// must take its global fallback path.
+// so kdegree.Partition returns nil and the partition-parallel topology
+// path must take its global fallback.
 func ringNet(t *testing.T, n, hosts int) *config.Network {
 	t.Helper()
 	b := netgen.NewBuilder(netgen.OSPF)
@@ -122,73 +122,20 @@ func ringNet(t *testing.T, n, hosts int) *config.Network {
 	return cfg
 }
 
-// TestAnonymityGroupsDecomposition pins anonymityGroups' two regimes.
-// MultiRegion10x30 decomposes: hub-separated partitions group the fake
-// hosts by gateway, covering every fake host across more than one group.
-// The ring net passes the size gate but has no hubs, so the groups must
-// collapse to the single global group with the decomposition flag off —
-// the crafted global-fallback case of the repair loop.
-func TestAnonymityGroupsDecomposition(t *testing.T) {
-	setup := func(t *testing.T, cfg *config.Network) (*sim.Net, []string, map[string]string, map[string]string) {
-		t.Helper()
-		view, err := sim.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fakeHosts []string
-		realOf := make(map[string]string)
-		for _, h := range cfg.Hosts() {
-			fh := h + "-fk1"
-			fakeHosts = append(fakeHosts, fh)
-			realOf[fh] = h
-		}
-		return view, fakeHosts, view.GatewayOf, realOf
-	}
-
-	mr, err := netgen.MultiRegion10x30()
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, fakeHosts, gw, realOf := setup(t, mr)
-	groups, applied := anonymityGroups(view, fakeHosts, gw, realOf, 6)
-	if !applied {
-		t.Fatal("MultiRegion10x30 did not decompose")
-	}
-	if len(groups) < 2 {
-		t.Fatalf("MultiRegion10x30 decomposed into %d group(s), want ≥ 2", len(groups))
-	}
-	covered := 0
-	for _, g := range groups {
-		covered += len(g)
-	}
-	if covered != len(fakeHosts) {
-		t.Fatalf("groups cover %d fake hosts, want %d", covered, len(fakeHosts))
-	}
-
-	ring := ringNet(t, partitionMinRouters+10, 6)
-	view, fakeHosts, gw, realOf = setup(t, ring)
-	groups, applied = anonymityGroups(view, fakeHosts, gw, realOf, 6)
-	if applied {
-		t.Fatal("hub-free ring decomposed; want global fallback")
-	}
-	if len(groups) != 1 || len(groups[0]) != len(fakeHosts) {
-		t.Fatalf("fallback groups = %d groups, want 1 global group of %d", len(groups), len(fakeHosts))
-	}
-}
-
 // TestAnonymityFallbackParallelismIdentity runs the full pipeline over
-// the crafted global-fallback ring at Parallelism 1 and 4: output must
-// be byte-identical, pinning that the repair loop's sharding (degenerate
-// single shard here) never leaks into the result.
+// the hub-free ring at Parallelism 1 and 4 with p = 0.5: output must be
+// byte-identical, pinning that neither the topology stage's global
+// fallback nor the repair loop's index-sharded delivery checks leak into
+// the result.
 func TestAnonymityFallbackParallelismIdentity(t *testing.T) {
 	cfg := ringNet(t, partitionMinRouters+10, 6)
 	assertParallelismIdentity(t, cfg, 0.5)
 }
 
 // TestFatTreeParallelismIdentity pins workers=1 vs workers=N
-// byte-identity on the fat-trees, whose uniform degree distribution
-// also lands Algorithm 2 in the global group (no hubs to separate):
-// FatTree08 always, FatTree16 — the S1 scale network — unless -short.
+// byte-identity on the fat-trees, whose repair rounds check many dirty
+// fake hosts per round across the workers: FatTree08 always, FatTree16
+// — the S1 scale network — unless -short.
 func TestFatTreeParallelismIdentity(t *testing.T) {
 	t.Run("FatTree08", func(t *testing.T) {
 		cfg, err := netgen.FatTree08()

@@ -99,7 +99,7 @@ const fullExtractMaxHosts = 512
 
 // scaleBenchNets picks the scale trajectory: FatTree08 (the Table 2
 // anchor) plus the whole scale catalog S1–S4, thousand-router networks
-// included — the interned streaming SPF core and the census-based
+// included — the interned streaming SPF core and the path-free
 // Algorithm 2 delivery checks brought FatTree32 and MultiRegion32x32
 // inside the default budget. Smoke mode — the CI budget — keeps only
 // FatTree08.

@@ -161,10 +161,13 @@ func truncatedCase(t *testing.T, late, loop bool) capCase {
 }
 
 // TestCapBoundaryMatchesNaive compares every engine entry point against
-// the reference walker on the cap-boundary networks, from every device
-// toward every host: DeliveredFrom (census, queried before any trace is
-// cached), PairDigestsFor, full extraction, TraceFrom, and
-// TraceUnderFailure under one node and one link failure.
+// its oracle on the cap-boundary networks, from every device toward every
+// host: DeliveredFrom (queried before any trace is cached) against the
+// uncapped reachNaive, and PairDigestsFor, full extraction, TraceFrom,
+// and TraceUnderFailure under one node and one link failure against the
+// reference walker. In the truncated-late cases the cap cuts every
+// Delivered path out of the listings from S, T and L, yet all three
+// still reach hd.
 func TestCapBoundaryMatchesNaive(t *testing.T) {
 	cases := []capCase{diamondCase(t, 8), diamondCase(t, 9)}
 	for _, late := range []bool{true, false} {
@@ -185,8 +188,16 @@ func TestCapBoundaryMatchesNaive(t *testing.T) {
 			for _, dst := range hosts {
 				got := snap.DeliveredFrom(dst, devs)
 				for i, dev := range devs {
-					if want := wantDelivered(snap.traceNaive(dev, dst, Failure{})); got[i] != want {
+					if want := snap.reachNaive(dev, dst); got[i] != want {
 						t.Fatalf("DeliveredFrom(%s)[%s] = %v, want %v", dst, dev, got[i], want)
+					}
+				}
+			}
+			if !c.wantDeliv {
+				cut := []string{"hs", "S", "T", "L"}
+				for i, v := range snap.DeliveredFrom("hd", cut) {
+					if !v {
+						t.Fatalf("DeliveredFrom(hd)[%s] = false past the cap cut, want true", cut[i])
 					}
 				}
 			}

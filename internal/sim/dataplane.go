@@ -3,6 +3,7 @@ package sim
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -27,14 +28,14 @@ import (
 //     depth budget (maxLen, the longest memoized suffix, is tracked per
 //     node). Deeper prefixes are walked too.
 //
-// The walk itself is written once (walk, below) and feeds one of two
-// sinks: pathSink materializes paths, censusSink only tracks whether a
-// Delivered path was emitted. Everything else — ECMP branch order, the
-// maxTracePaths cap, Delivered / Looped / BlackHoled classification, final
-// canonical sort — reproduces the per-pair recursive walker byte for byte;
-// the tests pin that against a naive reimplementation on the evaluation
-// networks, on randomized topologies with injected loops and black holes,
-// and across the path cap.
+// The walk itself is written once (walk, below) and materializes the
+// paths it emits. Everything else — ECMP branch order, the maxTracePaths
+// cap, Delivered / Looped / BlackHoled classification, final canonical
+// sort — reproduces the per-pair recursive walker byte for byte; the tests
+// pin that against a naive reimplementation on the evaluation networks, on
+// randomized topologies with injected loops and black holes, and across
+// the path cap. DeliveredFrom is not a walk: it answers reachability in
+// the successor graph by one reverse traversal, with no cap.
 //
 // Devices are addressed by dense index (the Snapshot's shared device
 // table) rather than name, and suffix sets are stored structurally (each
@@ -280,76 +281,12 @@ func (e *destEngine) digestFor(src string) Digest {
 	return fp
 }
 
-// delivInfo is one node's delivered-reachability census over its capped
-// suffix set: the number of suffixes the maxTracePaths cap admits (count)
-// and whether any admitted suffix is Delivered (del). It mirrors memoOf's
-// cap arithmetic exactly — child c contributes min(len(c), cap-total)
-// DFS-ordered entries — without building the memo, so a delivery check is
-// O(nodes) per destination instead of O(paths × hops).
-type delivInfo struct {
-	count int32
-	del   bool
-}
-
-// delivInfoOf computes (caching) the census for a non-loopy node whose
-// downstream region is a DAG; the recursion is bounded by maxLen, like
-// memoOf. Callers hold mu.
-func (e *destEngine) delivInfoOf(i int32) delivInfo {
-	for len(e.dinfoOK) < len(e.nodes) {
-		// Sized to the node table, which indexOf may have grown since the
-		// last census (out-of-config trace starts).
-		e.dinfoOK = append(e.dinfoOK, false)
-		e.dinfo = append(e.dinfo, delivInfo{})
-	}
-	if e.dinfoOK[i] {
-		return e.dinfo[i]
-	}
-	n := &e.nodes[i]
-	var di delivInfo
-	switch n.kind {
-	case deliveredNode:
-		di = delivInfo{count: 1, del: true}
-	case blackholeNode:
-		di = delivInfo{count: 1}
-	default:
-		for _, s := range n.succ {
-			// Child s contributes its first c DFS-ordered suffixes.
-			c := min(e.delivInfoOf(s).count, maxTracePaths-di.count)
-			di.del = di.del || e.deliveredWithin(s, c)
-			di.count += c
-			if di.count >= maxTracePaths {
-				break
-			}
-		}
-	}
-	e.dinfoOK[i] = true
-	e.dinfo[i] = di
-	return di
-}
-
-// deliveredWithin reports whether any of the first n DFS-ordered entries
-// of node i's capped suffix set is Delivered. The census answers when n
-// covers the whole set; when the cap cuts the set, whether a Delivered
-// suffix survives depends on its position, so the memo's status prefix
-// answers (still cap-bounded work). Callers hold mu.
-func (e *destEngine) deliveredWithin(i, n int32) bool {
-	di := e.delivInfoOf(i)
-	if !di.del || n >= di.count {
-		return di.del
-	}
-	for _, st := range e.memoOf(i).status[:n] {
-		if st == Delivered {
-			return true
-		}
-	}
-	return false
-}
-
-// DeliveredFrom reports, for each source, whether at least one forwarding
-// path from it toward dst is delivered — element i answers for srcs[i],
-// with the exact semantics of scanning TraceFrom(srcs[i], dst) for a
-// Delivered path (including the maxTracePaths truncation), computed by
-// the walker's census sink without materializing any hop list. Unknown
+// DeliveredFrom reports, for each source, whether dst is reachable from it
+// in dst's successor graph: whether some forwarding path from the source
+// is delivered. No path cap or depth bound applies; those limit only the
+// path listings (TraceFrom and its kin). Element i answers for srcs[i].
+// One reverse walk from the destination answers every source, and a
+// source the network does not configure answers false. Unknown
 // destinations yield all-false, like TraceFrom's nil result.
 func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	out := make([]bool, len(srcs))
@@ -362,12 +299,53 @@ func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	if !e.built {
 		e.build()
 	}
+	reach := e.reaching()
 	for i, src := range srcs {
-		sink := censusSink{e: e}
-		e.walk(e.indexOf(src), Failure{}, &sink)
-		out[i] = sink.del
+		if j, ok := e.idxOf[src]; ok {
+			out[i] = reach[j]
+		}
 	}
 	return out
+}
+
+// reaching marks every node from which the destination is reachable: a
+// walk from the delivered node over the reversed succ edges, held in CSR
+// form (node x's predecessors are pred[start[x]:start[x+1]]). Callers
+// hold mu, with the engine built.
+func (e *destEngine) reaching() []bool {
+	n := len(e.nodes)
+	start := make([]int32, n+1)
+	for i := range e.nodes {
+		for _, s := range e.nodes[i].succ {
+			start[s+1]++
+		}
+	}
+	for x := 0; x < n; x++ {
+		start[x+1] += start[x]
+	}
+	pred := make([]int32, start[n])
+	fill := slices.Clone(start[:n])
+	for i := range e.nodes {
+		for _, s := range e.nodes[i].succ {
+			pred[fill[s]] = int32(i)
+			fill[s]++
+		}
+	}
+	reach := make([]bool, n)
+	d := e.idxOf[e.dst]
+	reach[d] = true
+	stack := []int32{d}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range pred[start[x]:start[x+1]] {
+			if !reach[p] {
+				reach[p] = true
+				stack = append(stack, p)
+			}
+		}
+	}
+	return reach
 }
 
 // srcResult is a finished per-source trace: canonically sorted paths plus
@@ -405,11 +383,6 @@ type destEngine struct {
 	extra  map[string]int32
 	nodes  []destNode
 	bySrc  map[string]srcResult
-	// dinfo/dinfoOK cache the per-node delivered census (see delivInfo),
-	// filled lazily per node like the suffix memos and re-grown when
-	// indexOf appends out-of-config nodes.
-	dinfo   []delivInfo
-	dinfoOK []bool
 	// scratch is the reusable canonical-key byte buffer keyDigest hashes
 	// through; guarded by mu like the rest of the lazy state.
 	scratch []byte
@@ -483,7 +456,7 @@ func (s *Snapshot) traceWorkers() int {
 // The common case — src spliceable: not on or upstream of a forwarding
 // loop, longest path within the depth budget — reads the src node's
 // memoized suffix set in its precomputed canonical order. Other sources
-// are walked with the path sink and sorted.
+// are walked and sorted.
 func (e *destEngine) pathsFor(src string) ([]Path, Digest) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -503,7 +476,7 @@ func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
 	if i := e.indexOf(src); e.spliceable(i, 0) {
 		ps, fp = e.viewOf(i)
 	} else {
-		ps, fp = e.tracePaths(i, Failure{})
+		ps, fp = sortPathsByKey(e.walk(i, Failure{}))
 	}
 	if e.bySrc == nil {
 		e.bySrc = make(map[string]srcResult)
@@ -764,33 +737,18 @@ func (e *destEngine) memoOf(i int32) *memoSet {
 	return m
 }
 
-// walkSink receives the output of one walk. The walker owns every
-// forwarding rule; a sink only decides what an emitted path is worth.
-type walkSink interface {
-	// path receives one path the walk terminated itself: the hop stack
-	// (node indices, ending at the terminating node) and its status.
-	path(hops []int32, st PathStatus)
-	// splice receives the first min(len, room) DFS-ordered entries of
-	// node i's memoized suffix set, each extending prefix, and returns
-	// how many it took.
-	splice(prefix []int32, i, room int32) int32
-	// stop reports that the sink needs no further paths.
-	stop() bool
-}
-
 // walker is the state of one walk; see walk.
 type walker struct {
 	e       *destEngine
 	f       Failure
-	sink    walkSink
 	onStack []bool
 	hops    []int32
-	emitted int32
+	out     []Path
 }
 
-// walk enumerates the forwarding paths from start under failure f (zero:
-// none) into sink, in DFS order. It is the engine's one copy of the
-// forwarding semantics:
+// walk returns the forwarding paths from start under failure f (zero:
+// none), in DFS order. It is the engine's one copy of the forwarding
+// semantics:
 //
 //   - successors are explored depth-first in next-hop (succ) order, minus
 //     the transitions f prunes;
@@ -804,22 +762,22 @@ type walker struct {
 //     revisit a walk ancestor).
 //
 // Callers hold mu.
-func (e *destEngine) walk(start int32, f Failure, sink walkSink) {
+func (e *destEngine) walk(start int32, f Failure) []Path {
 	if f.Node != "" && e.nameAt[start] == f.Node {
-		sink.path([]int32{start}, BlackHoled)
-		return
+		return []Path{{Hops: []string{e.nameAt[start]}, Status: BlackHoled}}
 	}
-	w := walker{e: e, f: f, sink: sink}
+	w := walker{e: e, f: f}
 	w.visit(start)
+	return w.out
 }
 
 func (w *walker) visit(cur int32) {
-	if w.emitted >= maxTracePaths || w.sink.stop() {
+	if len(w.out) >= maxTracePaths {
 		return
 	}
 	e := w.e
 	if w.f.IsZero() && e.spliceable(cur, len(w.hops)) {
-		w.emitted += w.sink.splice(w.hops, cur, maxTracePaths-w.emitted)
+		w.splice(cur)
 		return
 	}
 	if w.onStack == nil {
@@ -852,61 +810,21 @@ func (w *walker) visit(cur int32) {
 	w.hops = w.hops[:len(w.hops)-1]
 }
 
+// emit materializes the hop stack as one path with status st.
 func (w *walker) emit(st PathStatus) {
-	w.sink.path(w.hops, st)
-	w.emitted++
+	w.out = append(w.out, Path{Hops: w.e.appendNames(make([]string, 0, len(w.hops)), w.hops), Status: st})
 }
 
-// pathSink materializes every path of a walk, in walk order.
-type pathSink struct {
-	e   *destEngine
-	out []Path
-}
-
-func (p *pathSink) path(hops []int32, st PathStatus) {
-	p.out = append(p.out, Path{Hops: p.e.appendNames(make([]string, 0, len(hops)), hops), Status: st})
-}
-
-func (p *pathSink) splice(prefix []int32, i, room int32) int32 {
-	m := p.e.memoOf(i)
-	n := min(int32(len(m.status)), room)
-	for j := int32(0); j < n; j++ {
-		hops := p.e.appendNames(make([]string, 0, len(prefix)+int(m.length[j])), prefix)
-		p.out = append(p.out, Path{Hops: p.e.appendSuffix(hops, i, j), Status: m.status[j]})
+// splice emits the first DFS-ordered entries of node i's memoized suffix
+// set that fit under maxTracePaths, each extending the hop stack.
+func (w *walker) splice(i int32) {
+	m := w.e.memoOf(i)
+	n := min(len(m.status), maxTracePaths-len(w.out))
+	for j := 0; j < n; j++ {
+		hops := w.e.appendNames(make([]string, 0, len(w.hops)+int(m.length[j])), w.hops)
+		w.out = append(w.out, Path{Hops: w.e.appendSuffix(hops, i, int32(j)), Status: m.status[j]})
 	}
-	return n
 }
-
-func (p *pathSink) stop() bool { return false }
-
-// tracePaths walks from start under f with the path sink and returns the
-// canonically sorted paths and their fingerprint. Callers hold mu.
-func (e *destEngine) tracePaths(start int32, f Failure) ([]Path, Digest) {
-	sink := pathSink{e: e}
-	e.walk(start, f, &sink)
-	return sortPathsByKey(sink.out)
-}
-
-// censusSink tracks only whether the walk emitted a Delivered path,
-// splicing spliceable nodes from the delivered census instead of their
-// memos. It stops the walk as soon as delivery is proven: later paths
-// cannot retract it. (The repair loop of Algorithm 2 lives here: noise
-// filters make per-router OSPF choices inconsistent, so the twinned
-// network is full of forwarding loops and most sources are walked.)
-type censusSink struct {
-	e   *destEngine
-	del bool
-}
-
-func (c *censusSink) path(_ []int32, st PathStatus) { c.del = c.del || st == Delivered }
-
-func (c *censusSink) splice(_ []int32, i, room int32) int32 {
-	n := min(c.e.delivInfoOf(i).count, room)
-	c.del = c.del || c.e.deliveredWithin(i, n)
-	return n
-}
-
-func (c *censusSink) stop() bool { return c.del }
 
 // sortPathsByKey orders paths canonically, deriving each Key exactly once
 // (the recursive walker recomputed both keys inside the comparator), and

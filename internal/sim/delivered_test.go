@@ -18,11 +18,13 @@ func wantDelivered(ps []Path) bool {
 	return false
 }
 
-// TestDeliveredFromMatchesTrace pins DeliveredFrom to delivered-status
-// membership of TraceFrom on randomized topologies with injected loops,
-// black holes, and discard routes — checking the census path (queried
-// before any trace caches paths) and the cached-result path (queried
-// again after TraceFrom ran) separately.
+// TestDeliveredFromMatchesTrace pins DeliveredFrom to reachability
+// (reachNaive) from every device on randomized topologies with injected
+// loops, black holes, and discard routes. These networks never reach the
+// path cap or the depth bound, so it must also equal delivered-status
+// membership of the capped trace. Each destination is queried before
+// any trace has built memos for it and again after TraceFrom ran; the
+// answers must not change.
 func TestDeliveredFromMatchesTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7042))
 	for trial := 0; trial < 12; trial++ {
@@ -53,11 +55,14 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 		}
 		devs := cfg.Names()
 		for _, dst := range hosts {
-			// Census path: no traces have run for this destination yet.
+			// No traces have run for this destination yet.
 			got := snap.DeliveredFrom(dst, devs)
 			for i, dev := range devs {
+				if want := snap.reachNaive(dev, dst); got[i] != want {
+					t.Fatalf("trial %d: DeliveredFrom(%s)[%s] = %v, want %v (reachNaive)", trial, dst, dev, got[i], want)
+				}
 				if want := wantDelivered(snap.traceNaive(dev, dst, Failure{})); got[i] != want {
-					t.Fatalf("trial %d: DeliveredFrom(%s)[%s] = %v, want %v (census path)", trial, dst, dev, got[i], want)
+					t.Fatalf("trial %d: DeliveredFrom(%s)[%s] = %v, want %v (capped trace)", trial, dst, dev, got[i], want)
 				}
 			}
 			// Answers must not change once TraceFrom has built memos for
@@ -78,12 +83,23 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 				t.Fatal("unknown destination reported delivered")
 			}
 		}
+		// A source the network does not configure answers false and
+		// leaves the engine's node table as it was.
+		e := snap.engineFor(hosts[0])
+		nodes := len(e.nodes)
+		if got := snap.DeliveredFrom(hosts[0], []string{"no-such-device"}); got[0] {
+			t.Fatal("unknown source reported delivered")
+		}
+		if len(e.nodes) != nodes {
+			t.Fatalf("unknown source grew the node table from %d to %d", nodes, len(e.nodes))
+		}
 	}
 }
 
-// TestDeliveredFromDeepChain drives the loopy/deep fallback: a chain
-// longer than maxTraceDepth forces the walker's Looped truncation, and
-// DeliveredFrom must agree with the trace on every chain position.
+// TestDeliveredFromDeepChain pins that the depth bound limits only path
+// listings: on a chain longer than maxTraceDepth the trace from the far
+// end is cut Looped before it delivers, yet DeliveredFrom reports every
+// chain position as reaching the host, as reachNaive does.
 func TestDeliveredFromDeepChain(t *testing.T) {
 	b := netgen.NewBuilder(netgen.OSPF)
 	n := maxTraceDepth + 8
@@ -104,10 +120,13 @@ func TestDeliveredFromDeepChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wantDelivered(snap.TraceFrom("c000", "h0")) {
+		t.Fatal("TraceFrom(c000, h0) holds a Delivered path; the chain does not pass the depth bound")
+	}
 	got := snap.DeliveredFrom("h0", names)
 	for i, dev := range names {
-		if want := wantDelivered(snap.TraceFrom(dev, "h0")); got[i] != want {
-			t.Fatalf("DeliveredFrom[%s] = %v, want %v", dev, got[i], want)
+		if !got[i] || !snap.reachNaive(dev, "h0") {
+			t.Fatalf("%s: DeliveredFrom = %v, reachNaive = %v; want both true", dev, got[i], snap.reachNaive(dev, "h0"))
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // anywhere in the network. InvalidateFilters returns one so callers can
 // re-walk only the destinations a filter mutation can affect
 // (DataPlaneForDirty carries the rest forward from the prior DataPlane;
-// Algorithm 2 re-reads the census only for dirty fake hosts). The Net
+// Algorithm 2 re-checks reachability only for dirty fake hosts). The Net
 // keeps the union of the diffs since its last simulation too: the next
 // SimulateNet rebuilds only the OSPF rows and route columns of the
 // prefixes that union marks, and shares every other column with the

@@ -72,6 +72,42 @@ func (s *Snapshot) traceNaive(start, dst string, f Failure) []Path {
 	return out
 }
 
+// reachNaive is the reachability oracle for DeliveredFrom: a by-name DFS
+// with a visited set over the same route reads as traceNaive (the exact
+// destination prefix, else a FIB lookup), sharing no code with the
+// engine. It reports whether some forwarding path from start reaches dst,
+// with no path cap and no depth bound.
+func (s *Snapshot) reachNaive(start, dst string) bool {
+	dstPfx, ok := s.Net.HostPrefix[dst]
+	if !ok {
+		return false
+	}
+	dstAddr := hostAddr(s.Net, dst)
+	seen := map[string]bool{start: true}
+	stack := []string{start}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur == dst {
+			return true
+		}
+		rt := s.Route(cur, dstPfx)
+		if rt == nil {
+			rt = s.FIB(cur).Lookup(dstAddr)
+		}
+		if rt == nil {
+			continue
+		}
+		for _, nh := range rt.NextHops {
+			if !seen[nh.Device] {
+				seen[nh.Device] = true
+				stack = append(stack, nh.Device)
+			}
+		}
+	}
+	return false
+}
+
 // pathSetKey is the fingerprint oracle: the canonical path-set key whose
 // bytes every Digest hashes, built the slow way.
 func pathSetKey(ps []Path) string {
