@@ -345,9 +345,9 @@ func BenchmarkAnonymizeParallelism(b *testing.B) {
 // BenchmarkExtractDataPlane measures full host-to-host path extraction
 // with a cold per-destination cache: each iteration re-simulates (outside
 // the timer) so the engine cannot answer from the previous iteration's
-// memo. The naive-walker baseline and the dirty-round variant live in
-// internal/sim's benchmark of the same name, which can reach the
-// unexported reference walker.
+// cached path lists. The naive-walker baseline and the dirty-round
+// variant live in internal/sim's benchmark of the same name, which can
+// reach the unexported reference walker.
 func BenchmarkExtractDataPlane(b *testing.B) {
 	for _, net := range parNetworks(b) {
 		hosts := net.cfg.Hosts()

@@ -445,7 +445,7 @@ func printScale(r *experiments.Runner, out string, smoke bool) error {
 			row.PipelineTotalMS, row.EquivIterations)
 	}
 	fmt.Println("(expected: digest extraction ≥2x faster and several-times-lower peak heap than full at FatTree16;")
-	fmt.Println(" digest working set is bounded by workers × one destination's memos, the output by 16B/pair;")
+	fmt.Println(" digest working set is bounded by workers × one destination's graph and walk, the output by 16B/pair;")
 	fmt.Println(" 'skip' marks the fully materialized strawman withheld above the host cap — see extract_full_skipped)")
 	if out == "" {
 		return nil

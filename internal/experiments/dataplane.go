@@ -13,8 +13,7 @@ import (
 // DataPlaneBenchRow is one network's data-plane extraction measurement:
 // full extraction cost sequential vs parallel, and the cost of one
 // filter-mutation round with full re-extraction vs dirty-destination
-// re-tracing — the round shape of Algorithm 2's repair loop and
-// strawman 2's fixing loop.
+// re-tracing — the round shape of strawman 2's fixing loop.
 type DataPlaneBenchRow struct {
 	Net   string  `json:"net"`
 	Hosts int     `json:"hosts"`

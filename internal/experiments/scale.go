@@ -148,7 +148,8 @@ func (r *Runner) ScaleBench(smoke bool) ([]ScaleBenchRow, error) {
 		row.SimulateMS = msSince(t0)
 
 		// Digest extraction: transient engines, peak heap bounded by the
-		// worker count times one destination's suffix memos.
+		// worker count times one destination's successor graph and one
+		// source's walked paths.
 		runtime.GC()
 		hs := startHeapSampler()
 		t0 = time.Now()

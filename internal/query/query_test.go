@@ -238,8 +238,8 @@ func TestThousandPredicateBatchFatTree08(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FatTree08 batch in -short mode")
 	}
-	// Fresh snapshot: time a full extraction (engine + memo build for all
-	// 64 destinations).
+	// Fresh snapshot: time a full extraction (graph build and path walks
+	// for all 64 destinations).
 	cold := mustSnap(t, "H", 0)
 	start := time.Now()
 	cold.ExtractDataPlane()

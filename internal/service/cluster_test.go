@@ -181,6 +181,12 @@ func TestClusterFencedStaleOwnerCannotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s1.Shutdown(context.Background())
+	// Deferred after Shutdown so it runs first: a failure anywhere below
+	// releases the frozen worker, and the test fails instead of hanging
+	// until the test binary's timeout.
+	var unfreezeOnce sync.Once
+	unfreeze := func() { unfreezeOnce.Do(func() { close(freeze) }) }
+	defer unfreeze()
 	ts1 := httptest.NewServer(s1)
 	defer ts1.Close()
 
@@ -211,7 +217,7 @@ func TestClusterFencedStaleOwnerCannotCorrupt(t *testing.T) {
 
 	// Wake the stale owner. Every durable write it attempts from here is
 	// refused — its run must unwind as fenced, not overwrite B's result.
-	close(freeze)
+	unfreeze()
 	deadline := time.Now().Add(30 * time.Second)
 	var stale Status
 	for {

@@ -1034,6 +1034,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Snapshot the status before the job reaches the scheduler: once it is
+	// queued a worker may start it, and the 202 body describes the job as
+	// it was accepted, not whatever state it has reached since.
+	accepted := j.status()
 	if !s.enqueue(j, false) {
 		s.store.remove(j)
 		if s.journal != nil {
@@ -1050,7 +1054,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.metrics.JobsSubmitted.Add(1)
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // defaultListLimit caps GET /v1/jobs pages when ?limit= is absent. A

@@ -11,9 +11,9 @@ import (
 // the catalog and randomized networks never reach. A chain of k 2-way
 // ECMP diamonds has 2^k paths end to end, so k = 8 lands exactly on the
 // cap and k = 9 is cut in half. The crafted variants rewire FIBs so that
-// a node's capped suffix set ends inside a truncated child whose
-// Delivered suffixes all fall past the cut (or, for contrast, before it),
-// with and without a forwarding loop upstream of the cut.
+// the cap cuts a walk inside a child whose Delivered paths all fall past
+// the cut (or, for contrast, before it), with and without a forwarding
+// loop ahead of the cut.
 
 // addDiamonds adds k 2-way diamonds named <p>0 → {<p>a<i>, <p>b<i>} →
 // <p><i+1> and returns the joint names <p>0 … <p>k.
@@ -106,10 +106,11 @@ func diamondCase(t *testing.T, k int) capCase {
 
 // truncatedCase routes hs → S toward hd through S → [L?] p0 T and
 // T → p0 q0 (late) or q0 p0 (early). The p chain (7 diamonds, 128
-// suffixes) black-holes; the q chain (128 suffixes) delivers. S admits
-// all of p0 and then cuts T in the middle, so with late ordering every
-// Delivered suffix of T falls past the cap. L forwards straight back to
-// S, which makes S loopy and moves the cut into the walker's splice.
+// paths) black-holes; the q chain (128 paths) delivers. S admits all of
+// p0 and then cuts T in the middle, so with late ordering every Delivered
+// path through T falls past the cap. L forwards straight back to S, so
+// the walk from S emits a Looped path first and the cut moves one path
+// earlier.
 func truncatedCase(t *testing.T, late, loop bool) capCase {
 	b := netgen.NewBuilder(netgen.OSPF)
 	b.Router("S")

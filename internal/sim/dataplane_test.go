@@ -219,8 +219,8 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 }
 
 // TestDataPlaneEngineDeepPaths drives paths past maxTraceDepth (a chain
-// longer than the depth budget) so the walker's Looped truncation and the
-// engine's depth-gated splice are exercised against each other.
+// longer than the depth budget) so the walker's Looped truncation at the
+// depth bound is checked against the naive walker, from every start depth.
 func TestDataPlaneEngineDeepPaths(t *testing.T) {
 	b := netgen.NewBuilder(netgen.OSPF)
 	n := maxTraceDepth + 8

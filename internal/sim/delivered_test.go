@@ -23,8 +23,8 @@ func wantDelivered(ps []Path) bool {
 // loops, black holes, and discard routes. These networks never reach the
 // path cap or the depth bound, so it must also equal delivered-status
 // membership of the capped trace. Each destination is queried before
-// any trace has built memos for it and again after TraceFrom ran; the
-// answers must not change.
+// any trace has cached path lists for it and again after TraceFrom ran;
+// the answers must not change.
 func TestDeliveredFromMatchesTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7042))
 	for trial := 0; trial < 12; trial++ {
@@ -65,8 +65,8 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 					t.Fatalf("trial %d: DeliveredFrom(%s)[%s] = %v, want %v (capped trace)", trial, dst, dev, got[i], want)
 				}
 			}
-			// Answers must not change once TraceFrom has built memos for
-			// the destination.
+			// Answers must not change once TraceFrom has cached path lists
+			// for the destination.
 			for _, dev := range devs {
 				snap.TraceFrom(dev, dst)
 			}

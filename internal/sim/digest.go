@@ -6,16 +6,16 @@ import (
 )
 
 // This file is the memory-bounded fingerprint layer of the data-plane
-// engine. A pair's canonical path-set key — the sorted "<status>:<hops>"
-// lines joined with "\n" — used to be materialized as one string per
-// ordered host pair and retained for the lifetime of the DataPlane, which
-// is O(H²) joined strings whose lengths grow with path count and depth.
-// Fingerprints are now a fixed-size 128-bit digest of exactly that byte
-// sequence: equality of digests stands in for equality of canonical keys
+// engine. A pair's canonical path-set key is the sorted "<status>:<hops>"
+// lines joined with "\n". Retaining it as one string per ordered host
+// pair would cost O(H²) joined strings whose lengths grow with path count
+// and depth. A fingerprint is instead a fixed-size 128-bit digest of
+// exactly that byte sequence, hashed by sortPathsByKey from the walker's
+// output. Equality of digests stands in for equality of canonical keys
 // everywhere only equality is needed (EqualOver, DiffPairs,
-// ExactlyKeptFraction), while diff and repair still work over the exact
-// materialized paths. DiffForwarding, the pipeline's equivalence check,
-// digests only the destinations whose successor graphs differ.
+// ExactlyKeptFraction, PairDigests.DiffPairs); explaining a difference
+// still reads the exact paths. DiffForwarding, the pipeline's equivalence
+// check, digests only the destinations whose successor graphs differ.
 //
 // The digest is the first 128 bits of SHA-256 over the canonical key
 // bytes. Two distinct path sets collide with probability ~2⁻¹²⁸ per pair
@@ -111,12 +111,12 @@ func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 }
 
 // PairDigestsFor computes the fingerprint of every ordered pair drawn
-// from hosts without materializing any path: per destination it builds a
-// transient successor-graph engine, streams each source's canonical key
-// bytes out of the structural suffix memos, and releases the engine
-// before moving on. Peak heap is bounded by the worker count times one
-// destination's memo storage (which scales with topology size) plus the
-// flat 16-byte-per-pair result — never by H² materialized paths. The
+// from hosts without retaining any path: per destination it builds a
+// transient successor-graph engine, walks each source, hashes the sorted
+// walk and drops it, and releases the engine before moving on. Peak heap
+// is bounded by the worker count times one destination's successor graph
+// (which scales with topology size) and one source's capped walk, plus
+// the flat 16-byte-per-pair result — never by H² materialized paths. The
 // digests are identical to the ones a full DataPlaneFor extraction
 // computes for the same Snapshot.
 func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {

@@ -392,21 +392,3 @@ func (n *Net) ExternalDestinations() []netip.Prefix {
 	}
 	return sortedPrefixes(seen)
 }
-
-// RouterNeighbors returns, for a router, the set of adjacent routers in
-// sorted order (hosts excluded).
-func (n *Net) RouterNeighbors(r string) []string {
-	seen := make(map[string]bool)
-	for _, l := range n.linksOf[r] {
-		o, _ := l.Other(r)
-		if n.Cfg.Device(o.Device).Kind == config.RouterKind {
-			seen[o.Device] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -451,14 +451,3 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("expected error for orphan host")
 	}
 }
-
-func TestPathAccessors(t *testing.T) {
-	p := Path{Hops: []string{"h1", "r1", "r2", "h2"}, Status: Delivered}
-	if p.Ingress() != "r1" || p.Egress() != "r2" {
-		t.Fatalf("ingress/egress = %q/%q", p.Ingress(), p.Egress())
-	}
-	bh := Path{Hops: []string{"h1", "r1"}, Status: BlackHoled}
-	if bh.Egress() != "r1" {
-		t.Fatalf("blackhole egress = %q", bh.Egress())
-	}
-}

@@ -44,25 +44,6 @@ func (p Path) Key() string {
 	return p.Status.String() + ":" + strings.Join(p.Hops, ">")
 }
 
-// Ingress returns the first router on the path ("" if none).
-func (p Path) Ingress() string {
-	if len(p.Hops) >= 2 {
-		return p.Hops[1]
-	}
-	return ""
-}
-
-// Egress returns the last router on a delivered path ("" if none).
-func (p Path) Egress() string {
-	if p.Status == Delivered && len(p.Hops) >= 2 {
-		return p.Hops[len(p.Hops)-2]
-	}
-	if len(p.Hops) >= 1 && p.Status != Delivered {
-		return p.Hops[len(p.Hops)-1]
-	}
-	return ""
-}
-
 // maxTraceDepth bounds a single walk; maxTracePaths bounds the ECMP
 // fan-out collected per host pair.
 const (
@@ -75,9 +56,10 @@ const (
 // exhaustively up to maxTracePaths), in canonical sorted order.
 //
 // The walk is served by the Snapshot's per-destination engine (see
-// dataplane.go), so repeated traces toward the same destination — the
-// shape of every caller — share path enumeration work. Returned paths are
-// cached: callers must treat them as read-only.
+// dataplane.go), which derives dst's successor graph once and caches each
+// source's sorted path list, so a repeated trace of the same pair is not
+// walked again. Returned paths are cached: callers must treat them as
+// read-only.
 func (s *Snapshot) TraceFrom(start, dst string) []Path {
 	e := s.engineFor(dst)
 	if e == nil {
