@@ -24,7 +24,10 @@ import (
 // Cancellation is observed between repair rounds (each costs a filter
 // re-derivation, a delta re-simulation of the dirty prefixes and their
 // re-traces), the same granularity as Algorithm 1's per-iteration checks.
-func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool, base *baseline, opts Options, rng *rand.Rand) ([]string, int, error) {
+//
+// prev, when non-nil, is a Snapshot of out as it stands on entry (the
+// equivalence stage's last); the twins' view is seeded from it.
+func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool, base *baseline, prev *sim.Snapshot, opts Options, rng *rand.Rand) ([]string, int, error) {
 	kH, p := opts.KH, opts.NoiseP
 	gw := base.snap.Net.GatewayOf
 	var fakeHosts []string
@@ -54,22 +57,28 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	// exactly when its real twin was in the original network. One dense
 	// delivered vector per real host answers every router at once from one
 	// reverse walk of the base snapshot's successor graph (sim.DeliveredFrom)
-	// — no path materialization — and is cached across repair rounds;
-	// k_H = 1 runs pay nothing.
+	// — no path materialization. Round 0 checks every twin, so every real
+	// host's vector is needed; they are computed up front, one host per
+	// worker slot, and kept across repair rounds.
 	routers := out.Routers()
+	workers := opts.simOpts().Workers()
+	expected := make([][]bool, len(base.hosts))
+	sim.ForEachIndex(workers, len(base.hosts), func(i int) {
+		expected[i] = base.snap.DeliveredFrom(base.hosts[i], routers)
+	})
 	expect := make(map[string][]bool, len(base.hosts))
-	expectFor := func(h string) []bool {
-		v, ok := expect[h]
-		if !ok {
-			v = base.snap.DeliveredFrom(h, routers)
-			expect[h] = v
-		}
-		return v
+	for i, h := range base.hosts {
+		expect[h] = expected[i]
 	}
 
-	// The fake twins changed the topology, so one fresh Build is needed;
-	// from here on only filters change, so the repair loop reuses the view.
-	view, err := sim.Build(out)
+	// The twins are stub LANs on existing routers: the router graph, the
+	// SPF distances and the BGP sessions stay as they were, so the view
+	// is seeded from prev and its first simulation is a delta over the
+	// twins' prefixes, 0.0.0.0/0 (each twin host adds a static default)
+	// and any prefix whose BGP originator's router ID a twin LAN raised.
+	// From here on only filters change, so the repair loop reuses the
+	// view.
+	view, _, err := sim.BuildFrom(out, prev)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -131,7 +140,6 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 	// applies the removal decisions sequentially in the global fakeHosts ×
 	// routers order against those same (stale within the round) vectors.
 	// Output is therefore byte-identical at any worker count.
-	workers := opts.simOpts().Workers()
 	broken := make(map[string]bool)
 	records := kept
 	for round := 0; round <= records; round++ {
@@ -162,7 +170,7 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 		for di, fh := range dirty {
 			vec := vecs[di]
 			broken[fh] = false
-			exp := expectFor(realOf[fh])
+			exp := expect[realOf[fh]]
 			for ri, r := range routers {
 				if !exp[ri] || vec[ri] {
 					continue

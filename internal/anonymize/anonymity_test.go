@@ -68,7 +68,7 @@ func TestRepairRechecksAfterLastRemoval(t *testing.T) {
 			out := tc.cfg.Clone()
 			pool := netaddr.NewPool(tc.cfg.UsedPrefixes(), nil)
 			probe := &repairProbe{Context: context.Background(), out: out}
-			fakes, _, err := routeAnonymity(probe, out, pool, base, opts, rand.New(rand.NewSource(1)))
+			fakes, _, err := routeAnonymity(probe, out, pool, base, base.snap, opts, rand.New(rand.NewSource(1)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -142,10 +142,11 @@ func (t Timing) Total() time.Duration {
 	return t.Preprocess + t.Topology + t.RouteEquiv + t.RouteAnon
 }
 
-// Alloc records per-stage heap allocation (runtime.MemStats.TotalAlloc
-// deltas, in bytes) — the memory analogue of Timing. Cumulative allocation
-// is the observable that exposes quadratic blowups regardless of when the
-// GC happens to run; live-heap peaks are sampled separately by the scale
+// Alloc records per-stage heap allocation (deltas of the runtime's
+// cumulative /gc/heap/allocs:bytes, MemStats.TotalAlloc's counterpart, in
+// bytes) — the memory analogue of Timing. Cumulative allocation is the
+// observable that exposes quadratic blowups regardless of when the GC
+// happens to run; live-heap peaks are sampled separately by the scale
 // benchmark.
 type Alloc struct {
 	Preprocess uint64
@@ -159,13 +160,13 @@ func (a Alloc) Total() uint64 {
 	return a.Preprocess + a.Topology + a.RouteEquiv + a.RouteAnon
 }
 
-// totalAlloc reads the process's cumulative allocated-bytes counter. One
-// ReadMemStats stop-the-world per stage boundary is noise next to a
-// control-plane simulation.
+// totalAlloc reads the process's cumulative allocated-bytes counter
+// through runtime/metrics, which, unlike ReadMemStats, does not stop the
+// world.
 func totalAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // Report describes everything a pipeline run changed.
@@ -296,18 +297,21 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 		return nil, nil, err
 	}
 
+	// equiv is the equivalence stage's last Snapshot, which seeds the
+	// anonymity stage's view; nil when that stage was resumed past.
+	var equiv *sim.Snapshot
 	if resumed < stageRank("equivalence") {
 		// Step 2.1: route equivalence.
 		t0 = time.Now()
 		a0 := totalAlloc()
 		switch opts.Strategy {
 		case ConfMask:
-			rep.EquivIterations, rep.EquivFilters, err = routeEquivalence(ctx, out, base, opts)
+			equiv, rep.EquivIterations, rep.EquivFilters, err = routeEquivalence(ctx, out, base, opts)
 		case Strawman1:
 			opts.progress("equivalence", 1)
-			rep.EquivIterations, rep.EquivFilters, err = strawman1(out, base, opts)
+			equiv, rep.EquivIterations, rep.EquivFilters, err = strawman1(out, base, opts)
 		case Strawman2:
-			rep.EquivIterations, rep.EquivFilters, err = strawman2(ctx, out, base, opts)
+			equiv, rep.EquivIterations, rep.EquivFilters, err = strawman2(ctx, out, base, opts)
 		default:
 			err = fmt.Errorf("unknown strategy %v", opts.Strategy)
 		}
@@ -331,7 +335,7 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 			opts.progress("anonymity", 0)
 			t0 = time.Now()
 			a0 := totalAlloc()
-			hosts, filters, err := routeAnonymity(ctx, out, pool, base, opts, rng)
+			hosts, filters, err := routeAnonymity(ctx, out, pool, base, equiv, opts, rng)
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, nil, ctxErr

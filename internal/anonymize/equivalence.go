@@ -184,30 +184,46 @@ func sanitize(s string) string {
 // conditions hold; a final data-plane comparison asserts functional
 // equivalence. Cancellation is observed between iterations — each
 // iteration costs a control-plane simulation, so this is where long jobs
-// must notice a dead context.
+// must notice a dead context. It returns the final Snapshot, which
+// simulates out as it stands on return.
 //
-// The network view is built once and reused: the loop only adds
-// distribute-list entries, so each iteration re-derives just the filter
-// view (InvalidateFilters) instead of repeating link discovery, SPF, and
-// BGP session discovery, and its simulation recomputes only the prefixes
-// the previous iteration's new filters deny (a delta over the view's
-// previous simulation).
-func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, opts Options) (int, int, error) {
+// The network view is seeded from the baseline (sim.BuildFrom): when the
+// topology stage added no fake edge or router, every column is the
+// baseline's and the input is not simulated again. The loop only adds
+// distribute-list entries, so each later iteration re-derives just the
+// filter view (InvalidateFilters), and its simulation recomputes only the
+// prefixes the previous iteration's new filters deny.
+//
+// Each iteration scans only the destinations whose columns may have
+// changed since the previous scan: at first those the seeded build could
+// not carry over, then those the last InvalidateFilters diff marks. The
+// scan reads each destination's own column only, so the exact-prefix test
+// (FilterDiff.Marks) suffices. A clean column is the one the previous
+// scan read (or the baseline's own, which holds no wrong next hop), and
+// filters only accumulate, so every addFilter call it would cause
+// returned false last time and would again.
+func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, opts Options) (*sim.Snapshot, int, int, error) {
 	filters := 0
-	view, err := sim.Build(out)
+	view, diff, err := sim.BuildFrom(out, base.snap)
 	if err != nil {
-		return 0, filters, err
+		return nil, 0, filters, err
 	}
 	maxIter := opts.MaxIterations
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return iter - 1, filters, err
+			return nil, iter - 1, filters, err
 		}
 		opts.progress("equivalence", iter)
 		if iter > 1 {
-			view.InvalidateFilters()
+			diff = view.InvalidateFilters()
 		}
 		snap := sim.SimulateNetOpts(view, opts.simOpts())
+		var dests []netip.Prefix
+		for _, p := range base.dests {
+			if diff.Marks(p) {
+				dests = append(dests, p)
+			}
+		}
 		// The scan fans out per router: addFilter only ever mutates the
 		// scanned router's own device (its prefix lists and distribute-list
 		// maps), and its add-or-skip decision reads only the snapshot, the
@@ -226,7 +242,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 				// its tables unfiltered is what keeps it inconspicuous.
 				return
 			}
-			for _, p := range base.dests {
+			for _, p := range dests {
 				rt := snap.Route(r, p)
 				if rt == nil || rt.Source == sim.SrcConnected || rt.Source == sim.SrcStatic {
 					continue
@@ -255,7 +271,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 			// successor graphs match the original's are equal outright;
 			// only the others are digested (sim.DiffForwarding).
 			if pairs := sim.DiffForwarding(base.snap, snap, base.hosts); len(pairs) != 0 {
-				return iter, filters, fmt.Errorf("converged after %d iterations but %d host pairs still differ (first: %v)", iter, len(pairs), pairs[0])
+				return nil, iter, filters, fmt.Errorf("converged after %d iterations but %d host pairs still differ (first: %v)", iter, len(pairs), pairs[0])
 			}
 			// External equivalence classes: every router's next-hop set
 			// must match the original exactly (the route-equivalence
@@ -267,14 +283,14 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 					got := snap.NextHopRouters(r, p)
 					want := slices.Compact(base.snap.NextHopRouters(r, p))
 					if !slices.Equal(got, want) {
-						return iter, filters, fmt.Errorf("external destination %v diverged on %s: %q vs %q", p, r, got, want)
+						return nil, iter, filters, fmt.Errorf("external destination %v diverged on %s: %q vs %q", p, r, got, want)
 					}
 				}
 			}
-			return iter, filters, nil
+			return snap, iter, filters, nil
 		}
 	}
-	return maxIter, filters, fmt.Errorf("no convergence within %d iterations", maxIter)
+	return nil, maxIter, filters, fmt.Errorf("no convergence within %d iterations", maxIter)
 }
 
 // leadsTo reports whether some next hop of rt (nil: no route) is the

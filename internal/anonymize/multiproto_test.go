@@ -113,7 +113,7 @@ func TestRouteEquivalenceMultiProtocol(t *testing.T) {
 	out.Device("r3").RIP.Networks = append(out.Device("r3").RIP.Networks, pfx)
 
 	opts := DefaultOptions()
-	iters, filters, err := routeEquivalence(context.Background(), out, base, opts)
+	_, iters, filters, err := routeEquivalence(context.Background(), out, base, opts)
 	if err != nil {
 		t.Fatalf("routeEquivalence: %v", err)
 	}

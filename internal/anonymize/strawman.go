@@ -14,11 +14,11 @@ import (
 // Listing 3's pattern. It fixes routing in one pass (a single simulation
 // verifies), but the unified pattern makes the fake links identifiable: the
 // interfaces that always bind a minimal shared deny set are the fakes.
-func strawman1(out *config.Network, base *baseline, opts Options) (int, int, error) {
+func strawman1(out *config.Network, base *baseline, opts Options) (*sim.Snapshot, int, int, error) {
 	filters := 0
-	view, err := sim.Build(out)
+	view, _, err := sim.BuildFrom(out, base.snap)
 	if err != nil {
-		return 0, filters, err
+		return nil, 0, filters, err
 	}
 	for _, r := range out.Routers() {
 		d := out.Device(r)
@@ -39,9 +39,9 @@ func strawman1(out *config.Network, base *baseline, opts Options) (int, int, err
 	view.InvalidateFilters()
 	snap := sim.SimulateNetOpts(view, opts.simOpts())
 	if pairs := sim.DiffForwarding(base.snap, snap, base.hosts); len(pairs) != 0 {
-		return 1, filters, fmt.Errorf("strawman1 left %d host pairs different (first: %v)", len(pairs), pairs[0])
+		return nil, 1, filters, fmt.Errorf("strawman1 left %d host pairs different (first: %v)", len(pairs), pairs[0])
 	}
-	return 1, filters, nil
+	return snap, 1, filters, nil
 }
 
 // denyAllOn attaches the shared list to the fake interface (IGP
@@ -97,11 +97,11 @@ func denyAllOn(cfg *config.Network, view *sim.Net, d *config.Device, i *config.I
 // divergent hop per pair — the deepest fake link on a divergent path —
 // then re-simulate. Conservative in injected lines but slow, because a
 // single wrong hop per pair is repaired per (expensive) simulation round.
-func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Options) (int, int, error) {
+func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Options) (*sim.Snapshot, int, int, error) {
 	filters := 0
-	view, err := sim.Build(out)
+	view, _, err := sim.BuildFrom(out, base.snap)
 	if err != nil {
-		return 0, filters, err
+		return nil, 0, filters, err
 	}
 	maxIter := opts.MaxIterations
 	// Each fixing round adds filters for a handful of destination
@@ -112,7 +112,7 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 	var diff *sim.FilterDiff
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return iter - 1, filters, err
+			return nil, iter - 1, filters, err
 		}
 		opts.progress("equivalence", iter)
 		if iter > 1 {
@@ -123,7 +123,7 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 		prev = dp
 		diffs := sim.DiffPairs(base.dataPlane(), dp, base.hosts)
 		if len(diffs) == 0 {
-			return iter, filters, nil
+			return snap, iter, filters, nil
 		}
 		changed := 0
 		for _, pair := range diffs {
@@ -133,10 +133,10 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 		}
 		filters += changed
 		if changed == 0 {
-			return iter, filters, fmt.Errorf("strawman2 stuck with %d differing pairs (first: %v)", len(diffs), diffs[0])
+			return nil, iter, filters, fmt.Errorf("strawman2 stuck with %d differing pairs (first: %v)", len(diffs), diffs[0])
 		}
 	}
-	return maxIter, filters, fmt.Errorf("strawman2: no convergence within %d iterations", maxIter)
+	return nil, maxIter, filters, fmt.Errorf("strawman2: no convergence within %d iterations", maxIter)
 }
 
 // fixOneHop finds, on some divergent anonymized path for the pair, the

@@ -3,7 +3,7 @@ package service
 import (
 	"encoding/json"
 	"expvar"
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"time"
 )
@@ -147,20 +147,31 @@ func (m *metrics) snapshot() map[string]any {
 	}
 }
 
-// heapInuse reads the live-heap gauge from the runtime.
+// heapInuse reads the live-heap gauge: the bytes of heap spans in use,
+// objects plus the unused space in their spans (MemStats.HeapInuse),
+// through runtime/metrics, which does not stop the world.
 func heapInuse() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64() + s[1].Value.Uint64()
+}
+
+// heapAllocs reads the process's cumulative heap allocation in bytes
+// (MemStats.TotalAlloc) through runtime/metrics, which does not stop the
+// world.
+func heapAllocs() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // stageTimer turns the pipeline's progress callbacks into per-stage
 // duration and allocation samples: each transition closes the previous
 // stage's clock and allocation window. One timer lives per job run, called
-// only from that job's worker goroutine. The allocation delta is
-// process-wide TotalAlloc, so concurrent jobs bleed into each other's
-// numbers — the event field documents this; exact per-stage attribution
-// comes from the pipeline's own Report.StageAlloc.
+// only from that job's worker goroutine. The allocation delta is the
+// process-wide cumulative heap allocation (heapAllocs), so concurrent jobs
+// bleed into each other's numbers — the event field documents this; exact
+// per-stage attribution comes from the pipeline's own Report.StageAlloc.
 type stageTimer struct {
 	m     *metrics
 	stage string
@@ -176,13 +187,12 @@ func (t *stageTimer) transition(stage string, now time.Time) (closed string, d t
 	if t.stage == stage {
 		return "", 0, 0 // equivalence iterations stay within one stage clock
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	total := heapAllocs()
 	if t.stage != "" {
-		closed, d, alloc = t.stage, now.Sub(t.start), ms.TotalAlloc-t.alloc
+		closed, d, alloc = t.stage, now.Sub(t.start), total-t.alloc
 		t.m.observeStage(closed, d)
 	}
-	t.stage, t.start, t.alloc = stage, now, ms.TotalAlloc
+	t.stage, t.start, t.alloc = stage, now, total
 	return closed, d, alloc
 }
 

@@ -16,7 +16,7 @@ type bgpSession struct {
 	peer     string
 	peerAddr netip.Addr
 	ebgp     bool
-	link     *Link // direct link carrying an eBGP session (nil for iBGP)
+	iface    string // owner's interface on the direct link of an eBGP session ("" for iBGP)
 	nb       *config.BGPNeighbor
 }
 
@@ -73,13 +73,13 @@ func (n *Net) discoverSessions() []bgpSession {
 				// eBGP requires the session to ride a direct link so the
 				// peer is a valid next hop.
 				for _, l := range n.linksOf[r] {
-					o, _ := l.Other(r)
-					if o.Device == peer && o.Iface == iface {
-						s.link = l
+					if o, _ := l.Other(r); o.Device == peer && o.Iface == iface {
+						local, _ := l.Local(r)
+						s.iface = local.Iface
 						break
 					}
 				}
-				if s.link == nil {
+				if s.iface == "" {
 					continue
 				}
 			}
@@ -125,17 +125,9 @@ func routerID(d *config.Device) netip.Addr {
 // lowest IGP metric to the egress router, then lowest peer router ID — the
 // standard process restricted to the attributes our configs express.
 func (n *Net) runBGP(igp *ospfState, workers int) *bgpState {
-	st := &bgpState{best: make(map[string]map[netip.Prefix]bgpRoute)}
-	st.sessions = n.coreFor(workers).sessions
-
-	var speakers []string
-	asOf := make(map[string]int)
-	for _, r := range n.Cfg.Routers() {
-		if d := n.Cfg.Device(r); d.BGP != nil {
-			speakers = append(speakers, r)
-			asOf[r] = d.BGP.ASN
-		}
-	}
+	core := n.coreFor(workers)
+	st := &bgpState{sessions: core.sessions, best: make(map[string]map[netip.Prefix]bgpRoute)}
+	speakers, asOf := core.bgpSpeakers, core.asn
 	if len(speakers) == 0 {
 		return st
 	}
@@ -370,22 +362,21 @@ func (st *bgpState) offerRoutes(n *Net, igp *ospfState, r string, di int32, b *c
 		}
 		if !rt.fromIBGP {
 			// eBGP: forward directly to the session peer.
-			var link *Link
+			iface := ""
 			for _, s := range st.sessions {
 				if s.owner == r && s.peer == rt.peer && s.ebgp {
-					link = s.link
+					iface = s.iface
 					break
 				}
 			}
-			if link == nil {
+			if iface == "" {
 				continue
 			}
-			local, _ := link.Local(r)
 			b.put(pi, di, &Route{
 				Prefix:   p,
 				Source:   SrcEBGP,
 				Metric:   len(rt.asPath),
-				NextHops: []NextHop{{Device: rt.peer, Iface: local.Iface}},
+				NextHops: []NextHop{{Device: rt.peer, Iface: iface}},
 			})
 			continue
 		}

@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+
+	"confmask/internal/config"
 )
 
 // simCore is the filter-independent part of a simulation: everything that
@@ -17,23 +20,38 @@ import (
 // route filters, so the link-state database, the SPF distances, the
 // distance-vector adjacencies, and the BGP session graph are all invariant
 // across iterations. Any mutation beyond filters (interfaces, links,
-// neighbors, costs, protocol enablement) requires a fresh Build.
+// neighbors, costs, protocol enablement) needs a new Net; BuildFrom seeds
+// it with the old one's last Snapshot, comparing the two cores to carry
+// over whatever the mutation left unchanged.
 type simCore struct {
 	// tab indexes every Snapshot's route columns; see prefixTable.
 	tab  *prefixTable
 	ospf *ospfCore
-	// ospfLinks / ripLinks / eigrpLinks hold, per router, the incident
-	// links over which the protocol exchanges routes (both endpoint
-	// interfaces enabled), in linksOf order.
-	ospfLinks  map[string][]*Link
-	ripLinks   map[string][]*Link
-	eigrpLinks map[string][]*Link
-	// ripSpeakers / eigrpSpeakers list the routers running each
-	// distance-vector protocol, in Routers() order.
+	// ospfLinks / ripLinks / eigrpLinks hold, per router, the adjacencies
+	// over which the protocol exchanges routes (both endpoint interfaces
+	// enabled), in linksOf order.
+	ospfLinks  map[string][]adjacency
+	ripLinks   map[string][]adjacency
+	eigrpLinks map[string][]adjacency
+	// ripSpeakers / eigrpSpeakers / bgpSpeakers list the routers running
+	// each protocol, in Routers() order; asn maps each BGP speaker to its
+	// AS number.
 	ripSpeakers   []string
 	eigrpSpeakers []string
+	bgpSpeakers   []string
+	asn           map[string]int
 	// sessions is the discovered BGP session graph.
 	sessions []bgpSession
+}
+
+// adjacency is one router's end of a link over which a protocol exchanges
+// routes: the local interface, the neighbor, and the metric the local
+// interface adds to a route learned over it (its OSPF cost, its EIGRP
+// delay, or RIP's one hop).
+type adjacency struct {
+	iface  string
+	nb     string
+	metric int
 }
 
 // prefixTable is the two axes of a Snapshot's route columns. Prefixes are
@@ -56,6 +74,28 @@ type prefixTable struct {
 	// fixed[pi] lists the connected or static route of every device that
 	// has one for prefix pi, in device order.
 	fixed [][]devRoute
+	// origins[pi] lists what puts prefix pi into routing, in device
+	// order; see origin.
+	origins [][]origin
+}
+
+// origin is one device's way of putting a prefix into routing: an
+// addressed interface in it, with the protocols the interface runs, or a
+// BGP network statement for it, with the speaker's router ID (BGP breaks
+// ties on the originator's ID) and whether the speaker has a static
+// route for it (which lets it originate the prefix). Beside the
+// adjacencies, a prefix's origins, fixed candidates and filters are
+// everything a simulation reads about it, which is what lets BuildFrom
+// carry its column from one Net to another.
+type origin struct {
+	dev   string
+	iface string // "" for a network statement
+	// ospf and eigrp are the interface's OSPF cost and EIGRP delay, -1
+	// when it does not run the protocol; rip reports whether it runs RIP.
+	ospf, eigrp int
+	rip         bool
+	bgpID       netip.Addr
+	static      bool
 }
 
 // devRoute is one device's route in a sparse column.
@@ -74,33 +114,49 @@ func (t *prefixTable) index(p netip.Prefix) int32 {
 	return pi
 }
 
-// buildPrefixTable interns the Net's prefixes and devices and derives
-// every device's connected and static routes.
+// buildPrefixTable interns the Net's prefixes and devices, records each
+// prefix's origins and derives every device's connected and static
+// routes.
 func (n *Net) buildPrefixTable() *prefixTable {
 	names := n.Cfg.Names()
 	t := &prefixTable{devices: names, devIdx: make(map[string]int32, len(names))}
-	seen := make(map[netip.Prefix]bool)
+	origins := make(map[netip.Prefix][]origin)
 	for i, name := range names {
 		t.devIdx[name] = int32(i)
 		d := n.Cfg.Device(name)
 		for _, ifc := range d.Interfaces {
-			if ifc.Addr.IsValid() {
-				seen[ifc.Addr.Masked()] = true
+			if !ifc.Addr.IsValid() {
+				continue
 			}
+			o := origin{dev: name, iface: ifc.Name, ospf: -1, eigrp: -1, rip: ripEnabled(d, ifc)}
+			if ospfEnabled(d, ifc) {
+				o.ospf = ifc.Cost()
+			}
+			if eigrpEnabled(d, ifc) {
+				o.eigrp = ifc.DelayValue()
+			}
+			p := ifc.Addr.Masked()
+			origins[p] = append(origins[p], o)
 		}
 		for _, s := range d.Statics {
-			seen[s.Prefix] = true
+			if _, ok := origins[s.Prefix]; !ok {
+				origins[s.Prefix] = nil // a table prefix; its candidates are in fixed
+			}
 		}
 		if d.BGP != nil {
+			id := routerID(d)
 			for _, p := range d.BGP.Networks {
-				seen[p] = true
+				static := slices.ContainsFunc(d.Statics, func(s config.StaticRoute) bool { return s.Prefix == p })
+				origins[p] = append(origins[p], origin{dev: name, ospf: -1, eigrp: -1, bgpID: id, static: static})
 			}
 		}
 	}
-	t.prefixes = sortedPrefixes(seen)
+	t.prefixes = sortedPrefixes(origins)
 	t.idx = make(map[netip.Prefix]int32, len(t.prefixes))
+	t.origins = make([][]origin, len(t.prefixes))
 	for pi, p := range t.prefixes {
 		t.idx[p] = int32(pi)
+		t.origins[pi] = origins[p]
 	}
 	t.fixed = make([][]devRoute, len(t.prefixes))
 	for i, name := range names {
@@ -200,9 +256,10 @@ func (n *Net) coreFor(workers int) *simCore {
 // buildCore derives the filter-independent simulation state.
 func (n *Net) buildCore(workers int) *simCore {
 	c := &simCore{
-		ospfLinks:  make(map[string][]*Link),
-		ripLinks:   make(map[string][]*Link),
-		eigrpLinks: make(map[string][]*Link),
+		ospfLinks:  make(map[string][]adjacency),
+		ripLinks:   make(map[string][]adjacency),
+		eigrpLinks: make(map[string][]adjacency),
+		asn:        make(map[string]int),
 	}
 	for _, r := range n.Cfg.Routers() {
 		d := n.Cfg.Device(r)
@@ -212,15 +269,26 @@ func (n *Net) buildCore(workers int) *simCore {
 		if d.EIGRP != nil {
 			c.eigrpSpeakers = append(c.eigrpSpeakers, r)
 		}
+		if d.BGP != nil {
+			c.bgpSpeakers = append(c.bgpSpeakers, r)
+			c.asn[r] = d.BGP.ASN
+		}
 		for _, l := range n.linksOf[r] {
+			local, _ := l.Local(r)
+			other, _ := l.Other(r)
+			li := d.Interface(local.Iface)
+			adj := adjacency{iface: local.Iface, nb: other.Device}
 			if n.ospfLinkEnabled(l) {
-				c.ospfLinks[r] = append(c.ospfLinks[r], l)
+				adj.metric = li.Cost()
+				c.ospfLinks[r] = append(c.ospfLinks[r], adj)
 			}
 			if n.ripLinkEnabled(l) {
-				c.ripLinks[r] = append(c.ripLinks[r], l)
+				adj.metric = 1
+				c.ripLinks[r] = append(c.ripLinks[r], adj)
 			}
 			if n.eigrpLinkEnabled(l) {
-				c.eigrpLinks[r] = append(c.eigrpLinks[r], l)
+				adj.metric = li.DelayValue()
+				c.eigrpLinks[r] = append(c.eigrpLinks[r], adj)
 			}
 		}
 	}
@@ -276,22 +344,21 @@ func (n *Net) buildOSPFCore(tab *prefixTable) *ospfCore {
 	c.dist = newDistMatrix(c.fwd.reverse())
 
 	// Advertised stub prefixes: every enabled connected interface prefix,
-	// at the advertising interface's cost.
+	// at the advertising interface's cost. Speaker ids are the speakers'
+	// Routers() positions, since both orders sort by name.
 	c.advs = make([][]adv, len(tab.prefixes))
 	c.attached = make([][]int32, len(tab.prefixes))
-	for si, r := range c.speakers {
-		d := n.Cfg.Device(r)
-		ri, _ := c.t.id(r)
-		for _, i := range d.Interfaces {
-			if !i.Addr.IsValid() {
+	for pi, os := range tab.origins {
+		for _, o := range os {
+			si, ok := c.t.id(o.dev)
+			if !ok || o.iface == "" {
 				continue
 			}
-			pi := tab.index(i.Addr.Masked())
-			if as := c.attached[pi]; len(as) == 0 || as[len(as)-1] != int32(si) {
-				c.attached[pi] = append(as, int32(si))
+			if as := c.attached[pi]; len(as) == 0 || as[len(as)-1] != si {
+				c.attached[pi] = append(as, si)
 			}
-			if ospfEnabled(d, i) {
-				c.advs[pi] = append(c.advs[pi], adv{router: ri, cost: clampCost32(i.Cost())})
+			if o.ospf >= 0 {
+				c.advs[pi] = append(c.advs[pi], adv{router: si, cost: clampCost32(o.ospf)})
 			}
 		}
 	}

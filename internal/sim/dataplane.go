@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"net/netip"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -17,12 +19,15 @@ import (
 //     the data-plane extractions and PairDigestsFor). walk, below, is the
 //     one copy of the forwarding semantics: ECMP branch order, the
 //     maxTracePaths cap, the maxTraceDepth bound and the Delivered /
-//     Looped / BlackHoled classification. sortPathsByKey puts its output in
-//     canonical order. Each source's sorted list is cached on the engine,
-//     so a source is walked at most once per destination. The tests pin
-//     the walker against a naive reimplementation on the evaluation
-//     networks, on randomized topologies with injected loops and black
-//     holes, and across the path cap.
+//     Looped / BlackHoled classification. It records hop indices; the
+//     walker sorts them into canonical order and either names them (a
+//     path listing) or hashes them (a fingerprint, with no path built).
+//     Each source's sorted list is cached on the engine, so a source is
+//     walked at most once per destination. The tests pin the walker
+//     against a naive reimplementation on the evaluation networks, on
+//     randomized topologies with injected loops and black holes, and
+//     across the path cap, and its order and fingerprints against
+//     sortPathsByKey.
 //   - Reachability (DeliveredFrom). It is not a walk: one reverse traversal
 //     of the successor graph answers every source, with no cap.
 //
@@ -57,10 +62,19 @@ type destNode struct {
 // path listings (TraceFrom and its kin). Element i answers for srcs[i].
 // One reverse walk from the destination answers every source, and a
 // source the network does not configure answers false. Unknown
-// destinations yield all-false, like TraceFrom's nil result.
+// destinations yield all-false, like TraceFrom's nil result. The call
+// reuses dst's engine when a path listing already built it, and
+// otherwise builds a transient one, as PairDigestsFor does: one call
+// answers every source, so the Snapshot does not keep an engine per
+// destination only to answer once.
 func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	out := make([]bool, len(srcs))
-	e := s.engineFor(dst)
+	s.destMu.Lock()
+	e, cached := s.destEngines[dst]
+	s.destMu.Unlock()
+	if !cached {
+		e = s.transientEngineFor(dst)
+	}
 	if e == nil {
 		return out
 	}
@@ -152,6 +166,7 @@ type destEngine struct {
 	idxOf  map[string]int32
 	extra  map[string]int32
 	nodes  []destNode
+	w      walker
 	bySrc  map[string]srcResult
 	// failRes caches finished what-if traces per (failure, src); see
 	// whatif.go.
@@ -233,7 +248,7 @@ func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
 	if !e.built {
 		e.build()
 	}
-	ps, fp := sortPathsByKey(e.walk(e.indexOf(src), Failure{}))
+	ps, fp := e.trace(e.indexOf(src), Failure{})
 	if e.bySrc == nil {
 		e.bySrc = make(map[string]srcResult)
 	}
@@ -241,12 +256,21 @@ func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
 	return ps, fp
 }
 
+// trace walks start under f and returns the canonical path list and its
+// fingerprint. Callers hold mu, with the engine built.
+func (e *destEngine) trace(start int32, f Failure) ([]Path, Digest) {
+	w := e.walk(start, f)
+	w.sort()
+	return w.result(), w.digest()
+}
+
 // digestFor returns only the fingerprint of the canonical path set from
 // src. A source pathsFor already answered reads its cached fingerprint;
-// any other is walked and sorted without caching, since digest-only
-// extraction queries each source once per destination and transient
-// engines must stay transient. A nil engine (unknown destination) yields
-// the zero digest of the empty path set, like TraceFrom's nil.
+// any other is walked, sorted and hashed from its hop indices without
+// naming a hop or caching, since digest-only extraction queries each
+// source once per destination and transient engines must stay transient.
+// A nil engine (unknown destination) yields the zero digest of the empty
+// path set, like TraceFrom's nil.
 func (e *destEngine) digestFor(src string) Digest {
 	if e == nil {
 		return Digest{}
@@ -259,28 +283,30 @@ func (e *destEngine) digestFor(src string) Digest {
 	if !e.built {
 		e.build()
 	}
-	_, fp := sortPathsByKey(e.walk(e.indexOf(src), Failure{}))
-	return fp
+	w := e.walk(e.indexOf(src), Failure{})
+	w.sort()
+	return w.digest()
 }
 
-// lpmColumns picks the columns the engine resolves each device's route
-// toward the destination from: the destination prefix's own, and those of
-// every other table prefix containing the destination address, longest
-// first (table order among equal lengths). Callers hold mu.
-func (e *destEngine) lpmColumns() {
-	tab := e.snap.tab
-	e.dstCol = e.snap.cols[tab.index(e.dstPfx)]
+// lpmColumns returns the columns that resolve each device's
+// longest-prefix match toward address addr on the host prefix pfx:
+// pfx's own, then those of every other table prefix containing addr,
+// longest first (table order among equal lengths). See routeToward.
+func (s *Snapshot) lpmColumns(pfx netip.Prefix, addr netip.Addr) [][]*Route {
+	tab := s.tab
 	var pis []int
 	for pi, p := range tab.prefixes {
-		if p != e.dstPfx && p.Contains(e.dstAddr) {
+		if p != pfx && p.Contains(addr) {
 			pis = append(pis, pi)
 		}
 	}
 	sort.SliceStable(pis, func(a, b int) bool { return tab.prefixes[pis[a]].Bits() > tab.prefixes[pis[b]].Bits() })
-	e.covers = make([][]*Route, len(pis))
-	for k, pi := range pis {
-		e.covers[k] = e.snap.cols[pi]
+	cols := make([][]*Route, 1, len(pis)+1)
+	cols[0] = s.cols[tab.index(pfx)]
+	for _, pi := range pis {
+		cols = append(cols, s.cols[pi])
 	}
+	return cols
 }
 
 // routeToward returns device i's longest-prefix-match route toward the
@@ -339,7 +365,8 @@ func (e *destEngine) build() {
 	e.built = true
 	names := e.snap.tab.devices
 	e.idxOf = e.snap.tab.devIdx
-	e.lpmColumns()
+	cols := e.snap.lpmColumns(e.dstPfx, e.dstAddr)
+	e.dstCol, e.covers = cols[0], cols[1:]
 	e.nameAt = append(make([]string, 0, len(names)+1), names...)
 	e.nodes = make([]destNode, len(names), len(names)+1)
 	nhLists := make([][]NextHop, len(names))
@@ -360,18 +387,30 @@ func (e *destEngine) build() {
 	}
 }
 
-// walker is the state of one walk; see walk.
+// walkedPath is one path a walk emitted: its hops are the walker's
+// hops[start:end], its outcome st.
+type walkedPath struct {
+	start, end int32
+	st         PathStatus
+}
+
+// walker is the state and the output of one walk; see walk. Each engine
+// keeps one and reuses its buffers from walk to walk, so a walk records
+// hop indices only: result turns them into names, digest hashes them.
 type walker struct {
 	e       *destEngine
 	f       Failure
 	onStack []bool
+	stack   []int32
 	hops    []int32
-	out     []Path
+	paths   []walkedPath
+	key     []byte // digest's buffer
 }
 
-// walk returns the forwarding paths from start under failure f (zero:
-// none), in DFS order. It is the engine's one copy of the forwarding
-// semantics:
+// walk walks the forwarding paths from start under failure f (zero:
+// none), in DFS order, into the engine's walker, which it returns; the
+// output stays valid until the next walk. It is the engine's one copy of
+// the forwarding semantics:
 //
 //   - successors are explored depth-first in next-hop (succ) order, minus
 //     the transitions f prunes;
@@ -382,26 +421,33 @@ type walker struct {
 //   - only the first maxTracePaths paths in DFS order are emitted.
 //
 // Callers hold mu.
-func (e *destEngine) walk(start int32, f Failure) []Path {
+func (e *destEngine) walk(start int32, f Failure) *walker {
+	w := &e.w
+	w.e, w.f = e, f
+	w.stack, w.hops, w.paths = w.stack[:0], w.hops[:0], w.paths[:0]
 	if f.Node != "" && e.nameAt[start] == f.Node {
-		return []Path{{Hops: []string{e.nameAt[start]}, Status: BlackHoled}}
+		w.stack = append(w.stack, start)
+		w.emit(BlackHoled)
+		return w
 	}
-	w := walker{e: e, f: f, onStack: make([]bool, len(e.nodes))}
+	if len(w.onStack) < len(e.nodes) {
+		w.onStack = make([]bool, len(e.nodes))
+	}
 	w.visit(start)
-	return w.out
+	return w
 }
 
 func (w *walker) visit(cur int32) {
-	if len(w.out) >= maxTracePaths {
+	if len(w.paths) >= maxTracePaths {
 		return
 	}
 	e := w.e
-	w.hops = append(w.hops, cur)
+	w.stack = append(w.stack, cur)
 	n := &e.nodes[cur]
 	switch {
 	case n.kind == deliveredNode:
 		w.emit(Delivered)
-	case w.onStack[cur] || len(w.hops) > maxTraceDepth:
+	case w.onStack[cur] || len(w.stack) > maxTraceDepth:
 		w.emit(Looped)
 	case n.kind == blackholeNode:
 		w.emit(BlackHoled)
@@ -420,24 +466,120 @@ func (w *walker) visit(cur int32) {
 			w.emit(BlackHoled)
 		}
 	}
-	w.hops = w.hops[:len(w.hops)-1]
+	w.stack = w.stack[:len(w.stack)-1]
 }
 
-// emit materializes the hop stack as one path with status st.
+// emit records the hop stack as one path with status st.
 func (w *walker) emit(st PathStatus) {
-	hops := make([]string, len(w.hops))
-	for k, i := range w.hops {
-		hops[k] = w.e.nameAt[i]
+	start := int32(len(w.hops))
+	w.hops = append(w.hops, w.stack...)
+	w.paths = append(w.paths, walkedPath{start: start, end: int32(len(w.hops)), st: st})
+}
+
+// sort puts the walked paths in canonical order: the byte order of their
+// keys ("<status>:<h1>><h2>>…", see Path.Key), the order sortPathsByKey
+// gives Paths, without building a key.
+func (w *walker) sort() {
+	names := w.e.nameAt
+	slices.SortFunc(w.paths, func(a, b walkedPath) int {
+		if c := strings.Compare(a.st.String(), b.st.String()); c != 0 {
+			return c
+		}
+		return cmpJoined(names, w.hops[a.start:a.end], w.hops[b.start:b.end])
+	})
+}
+
+// cmpJoined compares the names of hop list x joined by ">" with those of
+// y, as byte strings. Where one name is a proper prefix of the other, the
+// shorter one's key goes on with the separator or ends there, so "r1>…"
+// sorts after "r10>…" although "r1" sorts before "r10".
+func cmpJoined(names []string, x, y []int32) int {
+	next := func(hops []int32, k int) int { // the byte after hop k's name
+		if k+1 < len(hops) {
+			return '>'
+		}
+		return -1 // the key ends
 	}
-	w.out = append(w.out, Path{Hops: hops, Status: st})
+	for k := 0; k < len(x) && k < len(y); k++ {
+		a, b := names[x[k]], names[y[k]]
+		if a == b {
+			continue
+		}
+		m := min(len(a), len(b))
+		if c := strings.Compare(a[:m], b[:m]); c != 0 {
+			return c
+		}
+		var c int
+		if len(a) < len(b) {
+			c = cmp.Compare(next(x, k), int(b[m]))
+		} else {
+			c = cmp.Compare(int(a[m]), next(y, k))
+		}
+		if c != 0 {
+			return c
+		}
+		// The longer name holds a '>' right there: compare the rest
+		// as the strings it stands for.
+		return strings.Compare(joinHops(names, x[k:]), joinHops(names, y[k:]))
+	}
+	return cmp.Compare(len(x), len(y))
+}
+
+// joinHops returns the names of hops joined by ">".
+func joinHops(names []string, hops []int32) string {
+	parts := make([]string, len(hops))
+	for i, h := range hops {
+		parts[i] = names[h]
+	}
+	return strings.Join(parts, ">")
+}
+
+// result returns the walked paths, in their current order, as Paths
+// whose hop names share one backing array.
+func (w *walker) result() []Path {
+	if len(w.paths) == 0 {
+		return nil
+	}
+	names := make([]string, len(w.hops))
+	for i, h := range w.hops {
+		names[i] = w.e.nameAt[h]
+	}
+	out := make([]Path, len(w.paths))
+	for i, p := range w.paths {
+		out[i] = Path{Hops: names[p.start:p.end:p.end], Status: p.st}
+	}
+	return out
+}
+
+// digest returns the fingerprint of the sorted walk: the hash of its
+// paths' keys joined by "\n", the bytes sortPathsByKey hashes, written
+// into the walker's reused buffer.
+func (w *walker) digest() Digest {
+	buf := w.key[:0]
+	for i, p := range w.paths {
+		if i > 0 {
+			buf = append(buf, '\n')
+		}
+		buf = append(buf, p.st.String()...)
+		buf = append(buf, ':')
+		for k, h := range w.hops[p.start:p.end] {
+			if k > 0 {
+				buf = append(buf, '>')
+			}
+			buf = append(buf, w.e.nameAt[h]...)
+		}
+	}
+	w.key = buf
+	return digestOfBytes(buf)
 }
 
 // sortPathsByKey orders paths canonically, deriving each Key exactly
-// once, and returns the 128-bit canonical fingerprint alongside. The
-// sorted keys are hashed through one exactly-sized transient buffer
-// instead of being joined into a retained string. The input slice is not
-// reordered: pairDigest passes the path slices a DataPlane shares with its
-// caller.
+// once, and returns the 128-bit canonical fingerprint alongside. It is
+// the reference the walker's own sort and digest are tested against, and
+// fingerprints hand-assembled DataPlanes. The sorted keys are hashed
+// through one exactly-sized transient buffer instead of being joined
+// into a retained string. The input slice is not reordered: pairDigest
+// passes the path slices a DataPlane shares with its caller.
 func sortPathsByKey(ps []Path) ([]Path, Digest) {
 	if len(ps) == 0 {
 		return ps, Digest{}

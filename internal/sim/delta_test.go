@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
 	"confmask/internal/config"
+	"confmask/internal/netbuild"
 	"confmask/internal/netgen"
 )
 
@@ -433,5 +435,272 @@ func TestDeltaConcurrentSimulate(t *testing.T) {
 				t.Fatalf("round %d goroutine %d: delta FIBs differ from fresh simulation", round, i)
 			}
 		}
+	}
+}
+
+// randomBGPNet is a random BGP+OSPF network: two or three ASes, each a
+// random connected OSPF domain with an iBGP full mesh, joined by eBGP
+// links between random routers, with hosts originated into BGP.
+func randomBGPNet(t *testing.T, rng *rand.Rand) *config.Network {
+	t.Helper()
+	b := netgen.NewBuilder(netgen.BGPOSPF)
+	var all []string
+	for as := 1; as <= 2+rng.Intn(2); as++ {
+		n := 3 + rng.Intn(4)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("a%dr%d", as, i)
+			b.RouterAS(names[i], 65000+as)
+			if i > 0 {
+				b.Link(names[i], names[rng.Intn(i)])
+			}
+		}
+		if len(all) > 0 {
+			b.Link(names[rng.Intn(n)], all[rng.Intn(len(all))])
+		}
+		all = append(all, names...)
+	}
+	for h := 0; h < 2+rng.Intn(3); h++ {
+		b.Host(fmt.Sprintf("h%02d", h), all[rng.Intn(len(all))])
+	}
+	cfg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// addTwins gives up to max hosts (all when max is 0) a twin host on the
+// same router, as the anonymity stage does, and returns the twins'
+// prefixes.
+func addTwins(t *testing.T, cfg *config.Network, view *Net, max int) []netip.Prefix {
+	t.Helper()
+	pool := netbuild.PoolFor(cfg)
+	var out []netip.Prefix
+	for i, h := range cfg.Hosts() {
+		if max > 0 && i == max {
+			break
+		}
+		gw := view.GatewayOf[h]
+		pfx, err := netbuild.AddHostLAN(cfg, pool, h+"-fk1", gw, netbuild.HostOpts{Injected: true, AdvertiseBGP: cfg.Device(gw).BGP != nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, pfx)
+	}
+	return out
+}
+
+// addFakeLink links two random routers that share no link yet, as the
+// topology stage does.
+func addFakeLink(t *testing.T, cfg *config.Network, view *Net, rng *rand.Rand) {
+	t.Helper()
+	routers := cfg.Routers()
+	for {
+		a, b := routers[rng.Intn(len(routers))], routers[rng.Intn(len(routers))]
+		if a == b || view.LinkBetween(a, b) != nil {
+			continue
+		}
+		if _, err := netbuild.AddP2PLink(cfg, netbuild.PoolFor(cfg), a, b, netbuild.LinkOpts{Injected: true}); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+}
+
+// TestSeededBuildMatchesFresh is the seeded-build differential test. A
+// network is simulated (sometimes through filter-edit deltas), edited in
+// place with twin hosts (netbuild.AddHostLAN) or, separately, a fake link
+// (netbuild.AddP2PLink), sometimes given one more filter edit, and built
+// again by BuildFrom over the old Snapshot. The seeded Net's first
+// simulation, run by four goroutines at once at Parallelism 1 and 3, must
+// equal a fresh Build + Simulate, and so must each delta after further
+// filter edits.
+func TestSeededBuildMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	type network struct {
+		name string
+		cfg  func() *config.Network
+	}
+	var nets []network
+	for i := 0; i < 2; i++ {
+		nets = append(nets,
+			network{"ospf", func() *config.Network { return randomSimNet(t, netgen.OSPF, rng) }},
+			network{"rip", func() *config.Network { return randomSimNet(t, netgen.RIP, rng) }},
+			network{"eigrp", func() *config.Network { return randomSimNet(t, netgen.EIGRP, rng) }},
+			network{"bgp", func() *config.Network { return randomBGPNet(t, rng) }},
+			network{"mixed", func() *config.Network { return mixedSimNet(t, rng) }},
+		)
+	}
+	// FatTree08 has its own test below, and USCarrier, the same OSPF
+	// generator as Bics and Columbus, would cost twice the rest together.
+	catalog := catalogNets(t)
+	delete(catalog, "F")
+	var ids []string
+	for id := range catalog {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		nets = append(nets, network{id, catalog[id].Clone})
+	}
+	carried := map[string]int{}
+	for trial, nw := range nets {
+		for _, edit := range []string{"twins", "link"} {
+			cfg := nw.cfg()
+			ed := newFilterEditor(cfg, rng)
+			view, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := SimulateNetOpts(view, Options{Parallelism: 1 + rng.Intn(3)})
+			for r := rng.Intn(3); r > 0; r-- {
+				ed.edit()
+				view.InvalidateFilters()
+				prev = SimulateNetOpts(view, Options{Parallelism: 1 + rng.Intn(3)})
+			}
+			if edit == "twins" {
+				addTwins(t, cfg, view, 1+rng.Intn(3))
+			} else {
+				addFakeLink(t, cfg, view, rng)
+			}
+			if rng.Intn(2) == 0 {
+				ed.edit()
+			}
+			seeded, diff, err := BuildFrom(cfg, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !diff.All() {
+				carried[edit]++
+			}
+			want := freshFingerprint(t, cfg)
+			got := make([]string, 4)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = fibFingerprint(SimulateNetOpts(seeded, Options{Parallelism: 1 + 2*(i%2)}))
+				}(i)
+			}
+			wg.Wait()
+			for i, fp := range got {
+				if fp != want {
+					t.Fatalf("trial %d (%s, %s) goroutine %d: seeded simulation differs from fresh", trial, nw.name, edit, i)
+				}
+			}
+			for step := 0; step < 2; step++ {
+				ed.edit()
+				seeded.InvalidateFilters()
+				if got := fibFingerprint(SimulateNetOpts(seeded, Options{Parallelism: 1 + rng.Intn(3)})); got != freshFingerprint(t, cfg) {
+					t.Fatalf("trial %d (%s, %s) step %d: delta over the seeded Net differs from fresh", trial, nw.name, edit, step)
+				}
+			}
+		}
+	}
+	// The twins must have let columns carry over in most trials; a fake
+	// link changes the adjacencies unless it runs no protocol in common.
+	if carried["twins"] < len(nets)/2 {
+		t.Errorf("columns carried over in only %d of %d twin trials", carried["twins"], len(nets))
+	}
+	t.Logf("columns carried over in %d twin and %d fake-link trials of %d each", carried["twins"], carried["link"], len(nets))
+}
+
+// TestSeededBuildCarriesUnchangedColumns pins what the seeded build
+// carries on FatTree08: its twins make exactly the twin LANs and
+// 0.0.0.0/0 (each twin host's static default) dirty, every other column
+// keeps the previous Snapshot's routes, and the SPF DistMatrix is shared.
+func TestSeededBuildCarriesUnchangedColumns(t *testing.T) {
+	cfg, err := netgen.FatTree08()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := SimulateOpts(cfg, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := addTwins(t, cfg, prev.Net, 0)
+	if len(want) != 64 {
+		t.Fatalf("%d twins, want 64", len(want))
+	}
+	want = append(want, netip.MustParsePrefix("0.0.0.0/0"))
+	view, diff, err := BuildFrom(cfg, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(want, func(a, b netip.Prefix) int { return a.Addr().Compare(b.Addr()) })
+	if got := diff.Prefixes(); !slices.Equal(got, want) {
+		t.Fatalf("seeded build left %d prefixes dirty, want the %d twin LANs and 0.0.0.0/0: %v", len(got), len(want)-1, got)
+	}
+	snap := SimulateNetOpts(view, Options{Parallelism: 2})
+	if snap.OSPFDist != prev.OSPFDist {
+		t.Fatal("the SPF DistMatrix was not shared")
+	}
+	for _, p := range snap.tab.prefixes {
+		if slices.Contains(want, p) {
+			continue
+		}
+		for _, dev := range snap.Devices() {
+			if got, old := snap.Route(dev, p), prev.Route(dev, p); got != old {
+				t.Fatalf("%s's route to %v was rebuilt: %v, was %v", dev, p, got, old)
+			}
+		}
+	}
+	if fibFingerprint(snap) != freshFingerprint(t, cfg) {
+		t.Fatal("seeded FIBs differ from a fresh simulation")
+	}
+}
+
+// TestSeededBuildRouterIDFlip is the router-ID case: B and C both
+// originate P (a Null0 static plus a network statement) to their iBGP
+// peer A, which sits at equal IGP distance from both and so picks the
+// lower originator router ID, B's. A twin LAN on B raises B's fallback
+// router ID (its highest interface address) above C's, and A's best
+// route toward P flips to C. No adjacency changes, so the seeded build
+// carries columns, but not P's.
+func TestSeededBuildRouterIDFlip(t *testing.T) {
+	b := netgen.NewBuilder(netgen.BGPOSPF)
+	for _, r := range []string{"A", "B", "C"} {
+		b.RouterAS(r, 65000)
+	}
+	b.Link("A", "B")
+	b.Link("A", "C")
+	b.Host("hs", "A")
+	cfg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := netip.MustParsePrefix("192.168.50.0/24")
+	for _, r := range []string{"B", "C"} {
+		d := cfg.Device(r)
+		d.Statics = append(d.Statics, config.StaticRoute{Prefix: p, Discard: true})
+		d.BGP.Networks = append(d.BGP.Networks, p)
+	}
+	prev, err := SimulateOpts(cfg, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextHop := func(s *Snapshot) string { return s.NextHopRouters("A", p)[0] }
+	if got := nextHop(prev); got != "B" {
+		t.Fatalf("A routes %v via %s before the twin, want B", p, got)
+	}
+	pool := netbuild.PoolFor(cfg)
+	if _, err := netbuild.AddHostLAN(cfg, pool, "hb-fk1", "B", netbuild.HostOpts{Injected: true, AdvertiseBGP: true}); err != nil {
+		t.Fatal(err)
+	}
+	view, diff, err := BuildFrom(cfg, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff.All() {
+		t.Fatal("a twin LAN changed the adjacencies; the case no longer carries columns")
+	}
+	snap := SimulateNet(view)
+	if got := nextHop(snap); got != "C" {
+		t.Fatalf("A routes %v via %s after the twin raised B's router ID, want C", p, got)
+	}
+	if fibFingerprint(snap) != freshFingerprint(t, cfg) {
+		t.Fatal("seeded FIBs differ from a fresh simulation")
 	}
 }

@@ -10,8 +10,9 @@ import (
 // lines joined with "\n". Retaining it as one string per ordered host
 // pair would cost O(H²) joined strings whose lengths grow with path count
 // and depth. A fingerprint is instead a fixed-size 128-bit digest of
-// exactly that byte sequence, hashed by sortPathsByKey from the walker's
-// output. Equality of digests stands in for equality of canonical keys
+// exactly that byte sequence, which the walker hashes from the hop
+// indices of its sorted output without naming a path (sortPathsByKey
+// hashes the same bytes from Paths). Equality of digests stands in for equality of canonical keys
 // everywhere only equality is needed (EqualOver, DiffPairs,
 // ExactlyKeptFraction, PairDigests.DiffPairs); explaining a difference
 // still reads the exact paths. DiffForwarding, the pipeline's equivalence
@@ -142,8 +143,11 @@ func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
 // at any worker count — the strong-functional-equivalence check (§5.1)
 // without extracting either data plane.
 //
-// Per destination it builds both Snapshots' successor graphs through
-// transient engines. When every node a walk from hosts can visit in
+// A destination whose longest-prefix-match columns both Snapshots share,
+// over one device table (BuildFrom carries columns that way), routes
+// alike on both sides and is skipped without building an engine.
+// Otherwise both Snapshots' successor graphs are built through transient
+// engines. When every node a walk from hosts can visit in
 // orig's graph has the same kind and the same successor names, in the
 // same order, in anon's (sameSuccessors), every walk from those hosts
 // sees one graph on both sides, so the path sets are equal — the
@@ -153,8 +157,12 @@ func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
 // sides and report the pairs that differ.
 func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
 	cols := make([][]Pair, len(hosts))
+	oneTable := slices.Equal(orig.tab.devices, anon.tab.devices)
 	forEachIndex(orig.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
+		if oneTable && sharesColumns(orig, anon, dst) {
+			return
+		}
 		eo, ea := orig.transientEngineFor(dst), anon.transientEngineFor(dst)
 		if eo != nil && ea != nil && sameSuccessors(eo, ea, hosts) {
 			return
@@ -168,6 +176,19 @@ func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
 	out := slices.Concat(cols...)
 	sortPairs(out)
 	return out
+}
+
+// sharesColumns reports whether a and b resolve every device's route
+// toward host dst from the very same columns. Over one device table that
+// makes dst's successor graph one graph.
+func sharesColumns(a, b *Snapshot, dst string) bool {
+	same := func(x, y []*Route) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
+	pfx, ok := a.Net.HostPrefix[dst]
+	if !ok || b.Net.HostPrefix[dst] != pfx || !same(a.cols[a.tab.index(pfx)], b.cols[b.tab.index(pfx)]) {
+		return false // the common case when nothing was carried: no table scan
+	}
+	addr := hostAddr(a.Net, dst)
+	return hostAddr(b.Net, dst) == addr && slices.EqualFunc(a.lpmColumns(pfx, addr), b.lpmColumns(pfx, addr), same)
 }
 
 // sameSuccessors reports whether every node of e's successor graph — each

@@ -143,6 +143,95 @@ func corruptFIBs(snap *Snapshot, rng *rand.Rand) {
 	}
 }
 
+// prefixNamesNet is r0 fanning out over three equal-cost routers named
+// r1, r10 and "r1>a" to r2. The name r1 is a prefix of the other two, so
+// the canonical key order, "…r0>r10>…" then "…r0>r1>a>…" then
+// "…r0>r1>r2…", differs from comparing hop names one by one.
+func prefixNamesNet(t *testing.T) *Snapshot {
+	b := netgen.NewBuilder(netgen.OSPF)
+	b.Router("r0")
+	b.Router("r2")
+	for _, mid := range []string{"r1", "r10", "r1>a"} {
+		b.Router(mid)
+		b.Link("r0", mid)
+		b.Link(mid, "r2")
+	}
+	b.Host("hs", "r0")
+	b.Host("hd", "r2")
+	cfg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := SimulateOpts(cfg, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestWalkDigestsMatchSortedKeys pins the digests the walker hashes
+// straight from hop indices (digestFor, behind PairDigestsFor and
+// DiffForwarding's fallback) and its canonical order (TraceFrom) to the
+// reference: sortPathsByKey over the same paths, which sorts and hashes
+// Path.Key strings. It runs from every device toward every host on the
+// catalog networks, the cap-boundary networks and a network whose hop
+// names are prefixes of one another.
+func TestWalkDigestsMatchSortedKeys(t *testing.T) {
+	snaps := map[string]*Snapshot{"prefix-names": prefixNamesNet(t)}
+	for _, spec := range netgen.Catalog() {
+		cfg, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snaps[spec.Name], err = Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []capCase{diamondCase(t, 8), diamondCase(t, 9)}
+	for _, late := range []bool{true, false} {
+		for _, loop := range []bool{false, true} {
+			cases = append(cases, truncatedCase(t, late, loop))
+		}
+	}
+	for _, c := range cases {
+		snaps[c.name] = c.snap
+	}
+	ecmp := 0
+	for name, snap := range snaps {
+		t.Run(name, func(t *testing.T) {
+			for _, dst := range snap.Hosts() {
+				e := snap.transientEngineFor(dst)
+				for _, src := range snap.Devices() {
+					got := snap.TraceFrom(src, dst)
+					sorted, want := sortPathsByKey(got)
+					if !samePaths(got, sorted) {
+						t.Fatalf("TraceFrom(%s, %s) is not in key order:\n got: %v\nwant: %v", src, dst, got, sorted)
+					}
+					if d := e.digestFor(src); d != want {
+						t.Fatalf("digestFor(%s) toward %s = %x, want %x", src, dst, d, want)
+					}
+					if len(got) > 1 {
+						ecmp++
+					}
+				}
+			}
+		})
+	}
+	if ecmp == 0 {
+		t.Fatal("no source has more than one path: the order is never tested")
+	}
+	got := snaps["prefix-names"].TraceFrom("hs", "hd")
+	want := [][]string{{"hs", "r0", "r10", "r2", "hd"}, {"hs", "r0", "r1>a", "r2", "hd"}, {"hs", "r0", "r1", "r2", "hd"}}
+	if len(got) != len(want) {
+		t.Fatalf("prefix-names: %d paths, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i].Hops, want[i]) {
+			t.Fatalf("prefix-names path %d = %v, want %v", i, got[i].Hops, want[i])
+		}
+	}
+}
+
 // BenchmarkExtractDigestsFatTree08 measures digest-only extraction on
 // FatTree08 (64 hosts, 4032 ordered pairs) — the memory-bounded path.
 func BenchmarkExtractDigestsFatTree08(b *testing.B) {

@@ -85,19 +85,16 @@ func (n *Net) runEIGRP(workers int) map[string]map[netip.Prefix]*Route {
 					nv[p] = e // connected originations are authoritative
 				}
 			}
-			for _, l := range core.eigrpLinks[r] {
-				local, _ := l.Local(r)
-				other, _ := l.Other(r)
-				li := d.Interface(local.Iface)
-				for p, e := range vec[other.Device] {
+			for _, a := range core.eigrpLinks[r] {
+				for p, e := range vec[a.nb] {
 					if connectedOf[r][p] {
 						continue
 					}
-					m := e.metric + li.DelayValue()
-					if n.filterDeniesEIGRP(d, local.Iface, p) {
+					m := e.metric + a.metric
+					if n.filterDeniesEIGRP(d, a.iface, p) {
 						continue
 					}
-					nh := NextHop{Device: other.Device, Iface: local.Iface}
+					nh := NextHop{Device: a.nb, Iface: a.iface}
 					cur, ok := nv[p]
 					switch {
 					case !ok || m < cur.metric:

@@ -26,7 +26,8 @@ func SimulateOpts(cfg *config.Network, opts Options) (*Snapshot, error) {
 // SimulateNet computes FIBs over an already-built network view with
 // default options. Between calls the view's configurations must either
 // stay untouched or be mutated in filters only, followed by
-// InvalidateFilters; any other change requires a fresh Build.
+// InvalidateFilters; any other change needs a new Net, which BuildFrom
+// seeds with this one's last Snapshot.
 func SimulateNet(n *Net) *Snapshot {
 	return SimulateNetOpts(n, Options{})
 }
@@ -42,6 +43,8 @@ func SimulateNet(n *Net) *Snapshot {
 // then are rebuilt, with their OSPF rows recomputed and every device's
 // entry re-arbitrated; every other column is the previous Snapshot's,
 // shared (per-prefix filter independence, see FilterDiff). A Net's first
+// simulation is a delta too when BuildFrom seeded the Net: over the
+// prefixes it could not carry over from the seed. Otherwise the first
 // simulation, or one after an All() diff, marks every prefix, which is
 // the full computation through the same assembly. RIP, EIGRP and BGP
 // converge in full either way; only their routes for marked prefixes are
@@ -49,6 +52,7 @@ func SimulateNet(n *Net) *Snapshot {
 func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 	workers := opts.workers()
 	tab := n.coreFor(workers).tab
+	filters := n.filterState
 	last, stale := n.lastResult()
 	b := newColBuild(tab, last, stale)
 	igp := n.runOSPF(workers, last, b.dirty)
@@ -57,7 +61,7 @@ func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 	bgp := n.runBGP(igp, workers)
 	b.assemble(n, workers, igp, rip, eigrp, bgp)
 	n.remember(&simResult{ospfRows: igp.rows, cols: b.cols})
-	return &Snapshot{Net: n, OSPFDist: igp.dist, tab: tab, cols: b.cols, workers: workers}
+	return &Snapshot{Net: n, OSPFDist: igp.dist, tab: tab, cols: b.cols, ospfRows: igp.rows, filters: filters, workers: workers}
 }
 
 // colBuild is one simulation's column assembly: the new column set, whose
@@ -75,7 +79,7 @@ type colBuild struct {
 func newColBuild(tab *prefixTable, last *simResult, stale *FilterDiff) *colBuild {
 	b := &colBuild{tab: tab, dirty: make([]bool, len(tab.prefixes)), cols: make([][]*Route, len(tab.prefixes))}
 	for pi, p := range tab.prefixes {
-		if last == nil || stale.marks(p) {
+		if last == nil || stale.Marks(p) {
 			b.dirty[pi] = true
 		} else {
 			b.cols[pi] = last.cols[pi]

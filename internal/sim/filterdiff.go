@@ -28,8 +28,8 @@ import (
 // destination d can only change when some prefix in P overlaps d's LAN
 // prefix. The property
 // tests in dataplane_test.go exercise this end to end against full
-// re-extraction, and delta_test.go pins delta re-simulation against a
-// fresh Build.
+// re-extraction, and delta_test.go pins delta re-simulation, and the
+// seeded Nets of BuildFrom, against a fresh Build.
 //
 // The diff is conservative: ranged (`le`) rule changes and attachment
 // changes of ranged lists mark everything dirty, and a nil *FilterDiff
@@ -69,10 +69,11 @@ func (d *FilterDiff) Prefixes() []netip.Prefix {
 	return sortedPrefixes(d.prefixes)
 }
 
-// marks reports whether a route for prefix p may have changed: the
-// exact-prefix test a route column needs, since a deny decision for p is
-// the decision recorded under p's masked form (see listEval.denies).
-func (d *FilterDiff) marks(p netip.Prefix) bool {
+// Marks reports whether a route for exactly prefix p may have changed:
+// the test a route column needs (Affects asks about every prefix that
+// can carry traffic toward a destination), since a deny decision for p
+// is the decision recorded under p's masked form (see listEval.denies).
+func (d *FilterDiff) Marks(p netip.Prefix) bool {
 	return d.All() || d.prefixes[p.Masked()]
 }
 

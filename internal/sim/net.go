@@ -83,7 +83,7 @@ type Net struct {
 	// is filled eagerly and never written during simulation, concurrent
 	// route workers read it without locks. After mutating filters (and
 	// only filters), call InvalidateFilters to re-derive it; any other
-	// configuration change requires a fresh Build.
+	// configuration change needs a new Net (see BuildFrom).
 	denyCache map[string]*listEval
 	// filterState is the last captured filter view (deny tables plus
 	// attachment points); InvalidateFilters diffs against it to report
@@ -97,10 +97,11 @@ type Net struct {
 	core     *simCore
 
 	// last is the filter-dependent result of the most recent simulation
-	// and stale the union of the FilterDiffs InvalidateFilters returned
-	// since; the next SimulateNet recomputes only what stale marks (all
-	// of it when last is nil). Guarded by lastMu, so simulations of one
-	// Net may run concurrently.
+	// (or the columns BuildFrom carried over from its seed) and stale the
+	// union of the FilterDiffs InvalidateFilters returned since (or the
+	// prefixes BuildFrom could not carry over); the next SimulateNet
+	// recomputes only what stale marks (all of it when last is nil).
+	// Guarded by lastMu, so simulations of one Net may run concurrently.
 	lastMu sync.Mutex
 	last   *simResult
 	stale  *FilterDiff
@@ -108,8 +109,9 @@ type Net struct {
 
 // simResult is what a simulation leaves for the next one on the same Net:
 // the OSPF rows and the route columns, both by prefix-table index. Both
-// are shared with the Snapshot that produced them and with later delta
-// results, so neither is ever written after it is published.
+// are shared with the Snapshot that produced them, with later delta
+// results and with the Nets BuildFrom seeds from that Snapshot, so
+// neither is ever written after it is published.
 type simResult struct {
 	ospfRows [][]*Route
 	cols     [][]*Route
@@ -228,7 +230,9 @@ func compileList(pl *config.PrefixList) *listEval {
 // another SimulateNet instead of rebuilding: link discovery, SPF, and BGP
 // session discovery are filter-independent and stay cached. Mutating
 // anything else (interfaces, links, neighbors, costs, protocol
-// enablement) invalidates the whole view and requires a fresh Build.
+// enablement) invalidates the whole view: build a new Net, seeded with
+// this one's last Snapshot through BuildFrom so that the prefixes the
+// mutation left alone are not simulated again.
 //
 // The returned FilterDiff reports which destination prefixes may see a
 // different deny decision than under the previous view; pass it to

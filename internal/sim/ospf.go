@@ -161,12 +161,9 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 		d := n.Cfg.Device(r)
 		ins := n.ospfInFilters(d)
 		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
-		for _, l := range core.ospfLinks[r] {
-			local, _ := l.Local(r)
-			other, _ := l.Other(r)
-			nb, _ := oc.t.id(other.Device)
-			li := d.Interface(local.Iface)
-			cs = append(cs, linkCand{nb: nb, nbName: other.Device, iface: local.Iface, cost: clampCost32(li.Cost()), in: ins[local.Iface]})
+		for _, a := range core.ospfLinks[r] {
+			nb, _ := oc.t.id(a.nb)
+			cs = append(cs, linkCand{nb: nb, nbName: a.nb, iface: a.iface, cost: clampCost32(a.metric), in: ins[a.iface]})
 		}
 		cands[si] = cs
 	})
@@ -205,10 +202,16 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 			start := int32(len(sc.nhs))
 			for _, lc := range cands[si] {
 				dn := dp[lc.nb]
-				if dn < 0 || lc.in.denies(p) {
+				if dn < 0 {
 					continue
 				}
+				// A candidate costlier than the best so far loses whether
+				// or not a filter denies it, so the filter is consulted
+				// only for the ones that could win or tie.
 				cand := satAdd32(lc.cost, dn)
+				if (best != -1 && cand > best) || lc.in.denies(p) {
+					continue
+				}
 				switch {
 				case best == -1 || cand < best:
 					best = cand

@@ -92,21 +92,19 @@ func (n *Net) runRIP(workers int) map[string]map[netip.Prefix]*Route {
 					nv[p] = e
 				}
 			}
-			for _, l := range core.ripLinks[r] {
-				local, _ := l.Local(r)
-				other, _ := l.Other(r)
-				for p, e := range vec[other.Device] {
+			for _, a := range core.ripLinks[r] {
+				for p, e := range vec[a.nb] {
 					if connectedOf[r][p] {
 						continue
 					}
-					m := e.metric + 1
+					m := e.metric + a.metric
 					if m >= ripInfinity {
 						continue
 					}
-					if n.filterDeniesRIP(d, local.Iface, p) {
+					if n.filterDeniesRIP(d, a.iface, p) {
 						continue
 					}
-					nh := NextHop{Device: other.Device, Iface: local.Iface}
+					nh := NextHop{Device: a.nb, Iface: a.iface}
 					cur, ok := nv[p]
 					switch {
 					case !ok || m < cur.metric:

@@ -159,6 +159,11 @@ type Snapshot struct {
 	// di's route to prefix tab.prefixes[pi], nil when it has none.
 	tab  *prefixTable
 	cols [][]*Route
+	// ospfRows are the OSPF rows the columns were assembled from, and
+	// filters the filter view they were simulated under: with cols, what
+	// BuildFrom carries into a new Net.
+	ospfRows [][]*Route
+	filters  *filterState
 	// workers is the Parallelism the Snapshot was simulated with; it also
 	// sizes the worker pool for destination-sharded data-plane extraction.
 	workers int

@@ -133,7 +133,7 @@ func (e *destEngine) pathsUnderFailure(src string, f Failure) ([]Path, Digest) {
 		ps, fp = e.pathsForLocked(src)
 		e.snap.whatIfReused.Add(1)
 	} else {
-		ps, fp = sortPathsByKey(e.walk(i, f))
+		ps, fp = e.trace(i, f)
 		e.snap.whatIfRetraced.Add(1)
 	}
 	if e.failRes == nil {
