@@ -342,29 +342,6 @@ func BenchmarkAnonymizeParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractDataPlane measures full host-to-host path extraction
-// with a cold per-destination cache: each iteration re-simulates (outside
-// the timer) so the engine cannot answer from the previous iteration's
-// cached path lists. The naive-walker baseline and the dirty-round
-// variant live in internal/sim's benchmark of the same name, which can
-// reach the unexported reference walker.
-func BenchmarkExtractDataPlane(b *testing.B) {
-	for _, net := range parNetworks(b) {
-		hosts := net.cfg.Hosts()
-		for _, v := range parVariants {
-			b.Run(net.name+"/"+v.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					snap, err := sim.SimulateOpts(net.cfg, sim.Options{Parallelism: v.workers})
-					benchErr(b, err)
-					b.StartTimer()
-					snap.DataPlaneFor(hosts)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkKDegree measures the Liu–Terzi degree anonymization step alone.
 func BenchmarkKDegree(b *testing.B) {
 	cfg, err := netgen.USCarrier()

@@ -4,16 +4,13 @@
 //
 // Usage:
 //
-//	confmask-bench [-seed N] [-full] [-only table2,fig5,...]
+//	confmask-bench [-seed N] [-only table2,fig5,...]
 //
-// -full includes the slowest strawman-2 runs (Bics, USCarrier); without it
-// those rows print as "skipped". The "dataplane" experiment additionally
-// writes its measurements as JSON (-dataplane-out, default
-// BENCH_dataplane.json), the "query" experiment — the
-// attacker-vs-verifier benchmark — writes -query-out (default
-// BENCH_query.json), and the "incremental" experiment — full run vs
-// checkpoint-seeded resubmission of a one-router edit — writes
-// -incremental-out (default BENCH_incremental.json).
+// The "query" experiment — the attacker-vs-verifier benchmark — writes
+// its measurements as JSON to -query-out (default BENCH_query.json), and
+// the "incremental" experiment — full run vs checkpoint-seeded
+// resubmission of a one-router edit — writes -incremental-out (default
+// BENCH_incremental.json).
 package main
 
 import (
@@ -30,10 +27,8 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "random seed for all anonymization runs")
-	full := flag.Bool("full", false, "include the slowest strawman-2 runs")
 	only := flag.String("only", "", "comma-separated experiment list (default: all)")
 	parallelism := flag.Int("parallelism", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	dataplaneOut := flag.String("dataplane-out", "BENCH_dataplane.json", "file the dataplane experiment writes its measurements to (empty = don't write)")
 	queryOut := flag.String("query-out", "BENCH_query.json", "file the query experiment writes its measurements to (empty = don't write)")
 	incrementalOut := flag.String("incremental-out", "BENCH_incremental.json", "file the incremental experiment writes its measurements to (empty = don't write)")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "file the scale experiment writes its measurements to (empty = don't write)")
@@ -46,7 +41,6 @@ func main() {
 	}
 
 	r := experiments.NewRunner(*seed)
-	r.Full = *full
 	r.Parallelism = *parallelism
 
 	wanted := map[string]bool{}
@@ -96,9 +90,6 @@ func main() {
 	}
 	if want("security") {
 		must(printSecurity(r))
-	}
-	if want("dataplane") {
-		must(printDataPlane(r, *dataplaneOut))
 	}
 	if want("query") {
 		must(printQuery(r, *queryOut))
@@ -239,11 +230,7 @@ func printFig10(r *experiments.Runner) error {
 	header("Figure 10: anonymity and utility vs strawmen (k_R=6, k_H=2)")
 	fmt.Printf("%-11s %8s %8s %8s %8s %8s %8s\n", "Network", "Nr-CM", "Nr-S1", "Nr-S2", "UC-CM", "UC-S1", "UC-S2")
 	for _, row := range rows {
-		s2nr, s2uc := fmt.Sprintf("%8.2f", row.NrS2), fmt.Sprintf("%8.3f", row.UCS2)
-		if row.Skipped {
-			s2nr, s2uc = " skipped", " skipped"
-		}
-		fmt.Printf("%-11s %8.2f %8.2f %s %8.3f %8.3f %s\n", row.Net, row.NrCM, row.NrS1, s2nr, row.UCCM, row.UCS1, s2uc)
+		fmt.Printf("%-11s %8.2f %8.2f %8.2f %8.3f %8.3f %8.3f\n", row.Net, row.NrCM, row.NrS1, row.NrS2, row.UCCM, row.UCS1, row.UCS2)
 	}
 	fmt.Println("(paper: avg N_r 1.98/1.83/1.81; S1 injects ~21% more lines, S2 ~13% fewer)")
 	return nil
@@ -293,14 +280,9 @@ func printFig16(r *experiments.Runner) error {
 	header("Figure 16: running time comparison (k_R=6, k_H=2)")
 	fmt.Printf("%-11s %12s %12s %12s %18s\n", "Network", "strawman1", "ConfMask", "strawman2", "iters S1/CM/S2")
 	for _, row := range rows {
-		s2 := row.S2.Round(time.Millisecond).String()
 		iters := fmt.Sprintf("%d/%d/%d", row.ItersS1, row.ItersCM, row.ItersS2)
-		if row.Skipped {
-			s2 = "skipped"
-			iters = fmt.Sprintf("%d/%d/-", row.ItersS1, row.ItersCM)
-		}
-		fmt.Printf("%-11s %12v %12v %12s %18s\n", row.Net,
-			row.S1.Round(time.Millisecond), row.CM.Round(time.Millisecond), s2, iters)
+		fmt.Printf("%-11s %12v %12v %12v %18s\n", row.Net,
+			row.S1.Round(time.Millisecond), row.CM.Round(time.Millisecond), row.S2.Round(time.Millisecond), iters)
 	}
 	fmt.Println("(paper: S1 fastest, S2 8-100x slower; with Batfish the iteration count IS the cost)")
 	return nil
@@ -318,31 +300,6 @@ func printSecurity(r *experiments.Runner) error {
 			row.Net, row.DenyPatternCM, row.DenyPatternS1, row.SPTTruePos, row.Unconfigured, row.MaxReidentConfidence)
 	}
 	fmt.Println("(expected: deny-S1 >> deny-CM; SPT-TP = 0; unconf = 0; max-reid ≤ 1/k_R)")
-	return nil
-}
-
-func printDataPlane(r *experiments.Runner, out string) error {
-	rows, err := r.DataPlaneBench()
-	if err != nil {
-		return err
-	}
-	header("Data-plane extraction engine (full seq/par + one dirty fixing round)")
-	fmt.Printf("%-11s %5s %6s %9s %9s %11s %11s %6s\n", "Network", "|H|", "pairs", "seq-ms", "par-ms", "full-rnd-ms", "dirty-rnd-ms", "dirty")
-	for _, row := range rows {
-		fmt.Printf("%-11s %5d %6d %9.2f %9.2f %11.2f %11.2f %6d\n",
-			row.Net, row.Hosts, row.Pairs, row.SeqMS, row.ParMS, row.FullRoundMS, row.DirtyRoundMS, row.DirtyDests)
-	}
-	if out == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 
@@ -422,31 +379,20 @@ func printScale(r *experiments.Runner, out string, smoke bool) error {
 	if err != nil {
 		return err
 	}
-	title := "Thousand-router scale: digest vs full extraction, pipeline stages"
+	title := "Thousand-router scale: digest extraction, pipeline stages"
 	if smoke {
 		title += " (smoke subset)"
 	}
 	header(title)
-	fmt.Printf("%-17s %7s %5s %6s %10s %9s %9s %8s %9s %9s %11s %5s\n",
-		"Network", "routers", "|H|", "links", "simulate", "digest", "full", "speedup",
-		"dig-heap", "full-heap", "pipeline", "iters")
+	fmt.Printf("%-17s %7s %5s %6s %10s %9s %9s %11s %5s\n",
+		"Network", "routers", "|H|", "links", "simulate", "digest", "dig-heap", "pipeline", "iters")
 	for _, row := range rows {
-		full, fullHeap, speedup := fmt.Sprintf("%.0fms", row.ExtractFullMS),
-			fmt.Sprintf("%.1fM", float64(row.PeakHeapFullBytes)/(1<<20)), "-"
-		if row.ExtractFullSkipped {
-			full, fullHeap = "skip", "skip"
-		} else if row.ExtractDigestMS > 0 {
-			speedup = fmt.Sprintf("%.1fx", row.ExtractFullMS/row.ExtractDigestMS)
-		}
-		fmt.Printf("%-17s %7d %5d %6d %8.0fms %7.0fms %9s %8s %8.1fM %9s %9.0fms %5d\n",
+		fmt.Printf("%-17s %7d %5d %6d %8.0fms %7.0fms %8.1fM %9.0fms %5d\n",
 			row.Net, row.Routers, row.Hosts, row.Links,
-			row.SimulateMS, row.ExtractDigestMS, full, speedup,
-			float64(row.PeakHeapDigestBytes)/(1<<20), fullHeap,
+			row.SimulateMS, row.ExtractDigestMS, float64(row.PeakHeapDigestBytes)/(1<<20),
 			row.PipelineTotalMS, row.EquivIterations)
 	}
-	fmt.Println("(expected: digest extraction ≥2x faster and several-times-lower peak heap than full at FatTree16;")
-	fmt.Println(" digest working set is bounded by workers × one destination's graph and walk, the output by 16B/pair;")
-	fmt.Println(" 'skip' marks the fully materialized strawman withheld above the host cap — see extract_full_skipped)")
+	fmt.Println("(expected: digest working set bounded by workers × one destination's graph and walk, the output by 16B/pair)")
 	if out == "" {
 		return nil
 	}

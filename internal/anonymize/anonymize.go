@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime/metrics"
-	"sync"
 	"time"
 
 	"confmask/internal/config"
@@ -365,14 +364,10 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 // hold the original next hops (snap.Route(r, dest) is DP[r, dest]) and
 // which sim.DiffForwarding checks the anonymized network against.
 type baseline struct {
-	cfg  *config.Network
-	snap *sim.Snapshot
-	topo *topology.Graph
-	// dp is the fully materialized data plane, built lazily: only
-	// strawman 2 compares per-pair hop sequences.
-	dpOnce sync.Once
-	dp     *sim.DataPlane
-	hosts  []string
+	cfg   *config.Network
+	snap  *sim.Snapshot
+	topo  *topology.Graph
+	hosts []string
 	// dests is every destination Algorithm 1 preserves: all host LAN
 	// prefixes plus the external equivalence-class prefixes of §9
 	// (Internet destinations originated via discard statics).
@@ -398,13 +393,4 @@ func newBaseline(cfg *config.Network, simOpts sim.Options) (*baseline, error) {
 	}
 	b.dests = append(b.dests, b.external...)
 	return b, nil
-}
-
-// dataPlane materializes the original network's full data plane on first
-// use. Only strawman 2 calls it — the other strategies check equivalence
-// with sim.DiffForwarding — so large runs avoid holding H² path sets for
-// the baseline.
-func (b *baseline) dataPlane() *sim.DataPlane {
-	b.dpOnce.Do(func() { b.dp = b.snap.DataPlaneFor(b.hosts) })
-	return b.dp
 }

@@ -93,9 +93,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 // TestCheckpointResumeUsesDirtyRetrace resumes from the equivalence
-// checkpoint, which forces Algorithm 2's repair loop — the
-// DataPlaneForDirty consumer — to run against a network view rebuilt from
-// persisted state. The FilterDiff cache of the interrupted process is gone,
+// checkpoint, which forces Algorithm 2's repair loop — the FilterDiff
+// consumer — to run against a network view rebuilt from persisted
+// state. The FilterDiff cache of the interrupted process is gone,
 // so the resumed run must re-derive its dirty sets from scratch and still
 // converge to byte-identical output.
 func TestCheckpointResumeUsesDirtyRetrace(t *testing.T) {

@@ -25,7 +25,6 @@ func TestPipelineFakeRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := snap.DataPlaneFor(cfg.Hosts())
 	fake := map[string]bool{}
 	for _, fr := range rep.FakeRouters {
 		fake[fr] = true
@@ -33,11 +32,17 @@ func TestPipelineFakeRouters(t *testing.T) {
 			t.Fatalf("fake router %s has an empty FIB (conspicuous)", fr)
 		}
 	}
-	for pair, paths := range dp.Pairs {
-		for _, p := range paths {
-			for _, hop := range p.Hops {
-				if fake[hop] {
-					t.Fatalf("real traffic %v traverses fake router %s: %v", pair, hop, p.Hops)
+	hosts := cfg.Hosts()
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			for _, p := range snap.TraceFrom(src, dst) {
+				for _, hop := range p.Hops {
+					if fake[hop] {
+						t.Fatalf("real traffic %s→%s traverses fake router %s: %v", src, dst, hop, p.Hops)
+					}
 				}
 			}
 		}

@@ -133,7 +133,7 @@ func TestRouteEquivalenceMultiProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim.EqualOver(base.dataPlane(), snap.DataPlaneFor(base.hosts), base.hosts) {
-		t.Fatal("data planes differ after convergence")
+	if d := base.snap.PairDigestsFor(base.hosts).DiffPairs(snap.PairDigestsFor(base.hosts)); len(d) != 0 {
+		t.Fatalf("data planes differ after convergence: %v", d)
 	}
 }

@@ -89,7 +89,7 @@ func TestPipelineLargeNetworks(t *testing.T) {
 				t.Fatal(err)
 			}
 			hosts := cfg.Hosts()
-			if diffs := sim.DiffPairs(origSnap.DataPlaneFor(hosts), anonSnap.DataPlaneFor(hosts), hosts); len(diffs) != 0 {
+			if diffs := origSnap.PairDigestsFor(hosts).DiffPairs(anonSnap.PairDigestsFor(hosts)); len(diffs) != 0 {
 				t.Fatalf("functional equivalence violated for %d pairs (first %v)", len(diffs), diffs[0])
 			}
 		})

@@ -97,6 +97,8 @@ func denyAllOn(cfg *config.Network, view *sim.Net, d *config.Device, i *config.I
 // divergent hop per pair — the deepest fake link on a divergent path —
 // then re-simulate. Conservative in injected lines but slow, because a
 // single wrong hop per pair is repaired per (expensive) simulation round.
+// The comparison is sim.DiffForwarding, which reports exactly the pairs
+// whose traced path sets differ.
 func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Options) (*sim.Snapshot, int, int, error) {
 	filters := 0
 	view, _, err := sim.BuildFrom(out, base.snap)
@@ -104,24 +106,18 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 		return nil, 0, filters, err
 	}
 	maxIter := opts.MaxIterations
-	// Each fixing round adds filters for a handful of destination
-	// prefixes; the diff from InvalidateFilters lets DataPlaneForDirty
-	// re-trace only those destinations and carry the rest of the previous
-	// round's data plane forward.
-	var prev *sim.DataPlane
-	var diff *sim.FilterDiff
 	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, iter - 1, filters, err
 		}
 		opts.progress("equivalence", iter)
 		if iter > 1 {
-			diff = view.InvalidateFilters()
+			// Each fixing round adds filters for a handful of destination
+			// prefixes, so the next simulation is a delta over those.
+			view.InvalidateFilters()
 		}
 		snap := sim.SimulateNetOpts(view, opts.simOpts())
-		dp := snap.DataPlaneForDirty(base.hosts, prev, diff)
-		prev = dp
-		diffs := sim.DiffPairs(base.dataPlane(), dp, base.hosts)
+		diffs := sim.DiffForwarding(base.snap, snap, base.hosts)
 		if len(diffs) == 0 {
 			return snap, iter, filters, nil
 		}
@@ -146,7 +142,7 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim.Pair) bool {
 	dstPfx := base.snap.Net.HostPrefix[pair.Dst]
 	origKeys := make(map[string]bool)
-	for _, p := range base.dataPlane().Pairs[pair] {
+	for _, p := range base.snap.TraceFrom(pair.Src, pair.Dst) {
 		origKeys[p.Key()] = true
 	}
 	for _, path := range snap.TraceFrom(pair.Src, pair.Dst) {

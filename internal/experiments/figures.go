@@ -63,8 +63,8 @@ func (r *Runner) Figure5() ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		orig := metrics.ComputeRouteAnonymity(b.DP, b.Snap.Net.GatewayOf)
-		anon := metrics.ComputeRouteAnonymity(d.DPAll, d.Snap.Net.GatewayOf)
+		orig := routeAnonymity(b.Snap)
+		anon := routeAnonymity(d.Snap)
 		out = append(out, Fig5Row{
 			Net:     s.Name,
 			OrigMin: orig.Min, AnonMin: anon.Min,
@@ -72,6 +72,11 @@ func (r *Runner) Figure5() ([]Fig5Row, error) {
 		})
 	}
 	return out, nil
+}
+
+// routeAnonymity measures N_r over every host of s, fake twins included.
+func routeAnonymity(s *sim.Snapshot) metrics.RouteAnonymity {
+	return metrics.ComputeRouteAnonymity(s, s.Hosts(), s.Net.GatewayOf)
 }
 
 // Fig6Row reports topology anonymity: the minimum number of routers
@@ -153,8 +158,8 @@ func (r *Runner) Figure8() ([]Fig8Row, error) {
 		nh := nethide.Obfuscate(b.Topo, nethide.Options{Seed: r.Seed})
 		out = append(out, Fig8Row{
 			Net:      s.Name,
-			ConfMask: sim.ExactlyKeptFraction(b.DP, d.DPReal, hosts),
-			NetHide:  sim.ExactlyKeptFraction(b.DP, nh.DataPlane(hosts), hosts),
+			ConfMask: metrics.ExactlyKeptFraction(b.Snap, d.Snap, hosts),
+			NetHide:  metrics.ExactlyKeptFraction(b.Snap, nh, hosts),
 		})
 	}
 	return out, nil
@@ -207,13 +212,11 @@ func (r *Runner) Figure9() ([]Fig9Row, error) {
 }
 
 // Fig10Row compares ConfMask with the two strawmen on route anonymity and
-// configuration utility. Skipped==true marks rows omitted because
-// strawman 2 is impractically slow on that network without Runner.Full.
+// configuration utility.
 type Fig10Row struct {
 	Net              string
 	NrCM, NrS1, NrS2 float64
 	UCCM, UCS1, UCS2 float64
-	Skipped          bool
 }
 
 // Figure10 runs all three route-equivalence strategies at k_R=6, k_H=2.
@@ -228,24 +231,19 @@ func (r *Runner) Figure10() ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig10Row{
+		s2, err := r.run(s, defaultKR, defaultKH, anonymize.Strawman2)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Fig10Row{
 			Net:  s.Name,
-			NrCM: metrics.ComputeRouteAnonymity(cm.DPAll, cm.Snap.Net.GatewayOf).Avg,
-			NrS1: metrics.ComputeRouteAnonymity(s1.DPAll, s1.Snap.Net.GatewayOf).Avg,
+			NrCM: routeAnonymity(cm.Snap).Avg,
+			NrS1: routeAnonymity(s1.Snap).Avg,
+			NrS2: routeAnonymity(s2.Snap).Avg,
 			UCCM: cm.Report.UC,
 			UCS1: s1.Report.UC,
-		}
-		if r.Full || !slowForStrawman2(s.ID) {
-			s2, err := r.run(s, defaultKR, defaultKH, anonymize.Strawman2)
-			if err != nil {
-				return nil, err
-			}
-			row.NrS2 = metrics.ComputeRouteAnonymity(s2.DPAll, s2.Snap.Net.GatewayOf).Avg
-			row.UCS2 = s2.Report.UC
-		} else {
-			row.Skipped = true
-		}
-		out = append(out, row)
+			UCS2: s2.Report.UC,
+		})
 	}
 	return out, nil
 }
@@ -275,7 +273,7 @@ func (r *Runner) sweep() ([]SweepRow, error) {
 			}
 			out = append(out, SweepRow{
 				Net: s.Name, KR: kR, KH: kH,
-				Nr: metrics.ComputeRouteAnonymity(d.DPAll, d.Snap.Net.GatewayOf).Avg,
+				Nr: routeAnonymity(d.Snap).Avg,
 				UC: d.Report.UC,
 			})
 		}
@@ -359,7 +357,6 @@ type Fig16Row struct {
 	Net                       string
 	S1, CM, S2                time.Duration
 	ItersS1, ItersCM, ItersS2 int
-	Skipped                   bool // S2 omitted (see Runner.Full)
 }
 
 // Figure16 measures anonymization wall time per strategy at the default
@@ -375,22 +372,16 @@ func (r *Runner) Figure16() ([]Fig16Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig16Row{
+		s2, err := r.run(s, defaultKR, defaultKH, anonymize.Strawman2)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Fig16Row{
 			Net: s.Name,
 			CM:  cm.Wall, ItersCM: cm.Report.EquivIterations,
 			S1: s1.Wall, ItersS1: s1.Report.EquivIterations,
-		}
-		if r.Full || !slowForStrawman2(s.ID) {
-			s2, err := r.run(s, defaultKR, defaultKH, anonymize.Strawman2)
-			if err != nil {
-				return nil, err
-			}
-			row.S2 = s2.Wall
-			row.ItersS2 = s2.Report.EquivIterations
-		} else {
-			row.Skipped = true
-		}
-		out = append(out, row)
+			S2: s2.Wall, ItersS2: s2.Report.EquivIterations,
+		})
 	}
 	return out, nil
 }

@@ -25,9 +25,6 @@ import (
 type Runner struct {
 	// Seed drives all pipeline randomness.
 	Seed int64
-	// Full includes the slowest combinations (strawman 2 on the largest
-	// networks); when false those rows are skipped and marked.
-	Full bool
 	// Nets restricts the catalog (nil = all eight networks).
 	Nets []netgen.Spec
 	// Parallelism is passed through to the simulation engine (0 =
@@ -55,12 +52,13 @@ type runKey struct {
 	strategy anonymize.Strategy
 }
 
-// baseData is the original network plus its simulation artifacts.
+// baseData is the original network plus its simulation artifacts. Its
+// Snapshot traces paths on demand and caches them, so the experiments
+// sharing a network walk each pair at most once.
 type baseData struct {
 	Spec netgen.Spec
 	Cfg  *config.Network
 	Snap *sim.Snapshot
-	DP   *sim.DataPlane
 	Topo *topology.Graph
 }
 
@@ -69,10 +67,6 @@ type runData struct {
 	Anon   *config.Network
 	Report *anonymize.Report
 	Snap   *sim.Snapshot
-	// DPAll covers all hosts including fake twins; DPReal only the
-	// original hosts.
-	DPAll  *sim.DataPlane
-	DPReal *sim.DataPlane
 	Wall   time.Duration
 }
 
@@ -93,7 +87,6 @@ func (r *Runner) base(spec netgen.Spec) (*baseData, error) {
 		Spec: spec,
 		Cfg:  cfg,
 		Snap: snap,
-		DP:   snap.ExtractDataPlane(),
 		Topo: snap.Net.Topology(),
 	}
 	r.bases[spec.ID] = b
@@ -131,14 +124,8 @@ func (r *Runner) run(spec netgen.Spec, kR, kH int, strategy anonymize.Strategy) 
 		Anon:   anon,
 		Report: rep,
 		Snap:   snap,
-		DPAll:  snap.ExtractDataPlane(),
-		DPReal: snap.DataPlaneFor(b.Cfg.Hosts()),
 		Wall:   wall,
 	}
 	r.runs[key] = d
 	return d, nil
 }
-
-// slowForStrawman2 marks the networks where strawman 2's one-hop-per-pair
-// pace makes a run impractically long for a default harness invocation.
-func slowForStrawman2(id string) bool { return id == "D" || id == "F" }

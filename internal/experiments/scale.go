@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"confmask/internal/anonymize"
@@ -17,9 +18,9 @@ type ScaleStage struct {
 }
 
 // ScaleBenchRow is one network's scale measurement: control-plane
-// simulation and data-plane extraction wall clock (digest-based vs fully
-// materialized, each with sampled peak live heap), plus the full
-// anonymization pipeline's per-stage wall clock and allocation.
+// simulation wall clock, digest extraction wall clock with its sampled
+// peak live heap, and the full anonymization pipeline's per-stage wall
+// clock and allocation.
 type ScaleBenchRow struct {
 	Net     string `json:"net"`
 	Routers int    `json:"routers"`
@@ -28,20 +29,12 @@ type ScaleBenchRow struct {
 
 	// SimulateMS is one control-plane simulation of the original network.
 	SimulateMS float64 `json:"simulate_ms"`
-	// ExtractDigestMS / ExtractFullMS time per-pair data-plane extraction
-	// as 128-bit digests (transient per-destination engines, no H² path
-	// materialization) vs as fully materialized path sets; the peak fields
-	// are the highest live heap (runtime.MemStats.HeapInuse) sampled while
-	// each extraction ran, after a forced GC baseline.
+	// ExtractDigestMS times per-pair data-plane extraction as 128-bit
+	// digests (transient per-destination engines, no H² path
+	// materialization); PeakHeapDigestBytes is the highest live heap
+	// (heapInuse) sampled while it ran, after a forced GC baseline.
 	ExtractDigestMS     float64 `json:"extract_digest_ms"`
 	PeakHeapDigestBytes uint64  `json:"peak_heap_digest_bytes"`
-	ExtractFullMS       float64 `json:"extract_full_ms"`
-	PeakHeapFullBytes   uint64  `json:"peak_heap_full_bytes"`
-	// ExtractFullSkipped marks nets whose fully materialized extraction
-	// was not run: above fullExtractMaxHosts hosts the H² path-set plane
-	// is the intractable strawman the digest plane replaces (FatTree32
-	// would materialize ~270M paths), so the row reports digests only.
-	ExtractFullSkipped bool `json:"extract_full_skipped,omitempty"`
 
 	// Pipeline is the full anonymization run at the paper's default
 	// parameters, keyed by stage ("preprocess", "topology", "equivalence",
@@ -56,7 +49,9 @@ type ScaleBenchRow struct {
 // heapSampler polls the live-heap gauge on a short ticker and keeps the
 // maximum. Sampling can miss a short spike between ticks; for the
 // multi-second extractions measured here the error is a tick's worth of
-// allocation, not a phase.
+// allocation, not a phase. The gauge is read through runtime/metrics,
+// which does not stop the world, so the sampler does not pause the code
+// it measures.
 type heapSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -70,11 +65,7 @@ func startHeapSampler() *heapSampler {
 		t := time.NewTicker(5 * time.Millisecond)
 		defer t.Stop()
 		for {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapInuse > s.peak {
-				s.peak = ms.HeapInuse
-			}
+			s.peak = max(s.peak, heapInuse())
 			select {
 			case <-s.stop:
 				return
@@ -85,17 +76,20 @@ func startHeapSampler() *heapSampler {
 	return s
 }
 
-// Peak stops the sampler and returns the highest HeapInuse observed.
+// Peak stops the sampler and returns the highest heapInuse observed.
 func (s *heapSampler) Peak() uint64 {
 	close(s.stop)
 	<-s.done
 	return s.peak
 }
 
-// fullExtractMaxHosts bounds the fully materialized data-plane strawman:
-// its cost is H² pairs times ECMP width, which at 1024 hosts is hundreds
-// of millions of paths — the measurement would dominate the whole bench.
-const fullExtractMaxHosts = 512
+// heapInuse reads the bytes of heap spans in use: objects plus the unused
+// space in their spans, the quantity MemStats.HeapInuse reports.
+func heapInuse() uint64 {
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64() + s[1].Value.Uint64()
+}
 
 // scaleBenchNets picks the scale trajectory: FatTree08 (the Table 2
 // anchor) plus the whole scale catalog S1–S4, thousand-router networks
@@ -157,25 +151,6 @@ func (r *Runner) ScaleBench(smoke bool) ([]ScaleBenchRow, error) {
 		row.ExtractDigestMS = msSince(t0)
 		row.PeakHeapDigestBytes = hs.Peak()
 		runtime.KeepAlive(dig)
-
-		// Full extraction: every host pair's path set materialized, the
-		// pre-digest baseline the pipeline no longer pays. Beyond the host
-		// cap the strawman itself is the bottleneck (hours of wall clock at
-		// a thousand hosts), so the contrast is measured on the nets where
-		// both sides terminate and skipped — explicitly — elsewhere.
-		if len(hosts) <= fullExtractMaxHosts {
-			runtime.GC()
-			hs = startHeapSampler()
-			t0 = time.Now()
-			dp := snap.DataPlaneFor(hosts)
-			row.ExtractFullMS = msSince(t0)
-			row.PeakHeapFullBytes = hs.Peak()
-			runtime.KeepAlive(dp)
-			dp = nil
-			_ = dp
-		} else {
-			row.ExtractFullSkipped = true
-		}
 		snap = nil
 		_ = snap
 

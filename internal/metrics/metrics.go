@@ -1,17 +1,20 @@
 // Package metrics computes the evaluation metrics of the paper's §7:
 // route anonymity N_r (distinct routing paths between edge-router pairs),
-// route utility P_U (exactly-kept host-to-host paths — provided by
-// internal/sim), topology anonymity k_d and clustering coefficient
-// (provided by internal/topology), configuration utility U_C (provided by
-// internal/config), and the Pearson correlation used in Fig. 15.
+// route utility P_U (exactly-kept host-to-host paths), topology anonymity
+// k_d and clustering coefficient (provided by internal/topology),
+// configuration utility U_C (provided by internal/config), and the
+// Pearson correlation used in Fig. 15. The path metrics read any
+// spec.PathOracle: a simulated *sim.Snapshot or NetHide's obfuscated view.
 package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"confmask/internal/sim"
+	"confmask/internal/spec"
 )
 
 // RouteAnonymity summarizes N_r over edge-router pairs.
@@ -26,9 +29,9 @@ type RouteAnonymity struct {
 
 // ComputeRouteAnonymity counts, for every ordered pair of edge routers
 // (routers with attached hosts), the number of distinct router-level paths
-// observed between hosts behind them — the paper's N_r (Figs. 5, 10–12).
-// The data plane should include fake hosts so that ConfMask's k_H twins
-// contribute their diverging paths.
+// o traces between the hosts behind them — the paper's N_r (Figs. 5,
+// 10–12). The host list should include fake hosts so that ConfMask's k_H
+// twins contribute their diverging paths.
 //
 // Each host pair contributes one representative path — the canonical
 // first of its ECMP set — matching the paper's measurement: a
@@ -36,25 +39,27 @@ type RouteAnonymity struct {
 // anonymity set per edge-router pair grows with the number of host
 // connections whose observed paths differ (the fake twins whose routes
 // ConfMask's noise filters diverted), not with the raw ECMP fan-out.
-func ComputeRouteAnonymity(dp *sim.DataPlane, gatewayOf map[string]string) RouteAnonymity {
+func ComputeRouteAnonymity(o spec.PathOracle, hosts []string, gatewayOf map[string]string) RouteAnonymity {
 	distinct := make(map[[2]string]map[string]bool)
-	for pair, paths := range dp.Pairs {
-		gwS, okS := gatewayOf[pair.Src]
-		gwD, okD := gatewayOf[pair.Dst]
-		if !okS || !okD || gwS == gwD {
-			continue
-		}
-		for _, p := range paths {
-			if p.Status != sim.Delivered || len(p.Hops) < 3 {
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			gwS, okS := gatewayOf[src]
+			gwD, okD := gatewayOf[dst]
+			if !okS || !okD || gwS == gwD {
 				continue
 			}
-			key := [2]string{gwS, gwD}
-			if distinct[key] == nil {
-				distinct[key] = make(map[string]bool)
+			for _, p := range o.TraceFrom(src, dst) {
+				if p.Status != sim.Delivered || len(p.Hops) < 3 {
+					continue
+				}
+				key := [2]string{gwS, gwD}
+				if distinct[key] == nil {
+					distinct[key] = make(map[string]bool)
+				}
+				// Router-level path: strip the host endpoints.
+				distinct[key][strings.Join(p.Hops[1:len(p.Hops)-1], ">")] = true
+				break // canonical representative; TraceFrom returns sorted paths
 			}
-			// Router-level path: strip the host endpoints.
-			distinct[key][strings.Join(p.Hops[1:len(p.Hops)-1], ">")] = true
-			break // canonical representative; TraceFrom returns sorted paths
 		}
 	}
 	out := RouteAnonymity{Min: -1}
@@ -74,6 +79,39 @@ func ComputeRouteAnonymity(dp *sim.DataPlane, gatewayOf map[string]string) Route
 		out.Min = 0
 	}
 	return out
+}
+
+// ExactlyKeptFraction returns the fraction of ordered pairs drawn from
+// hosts whose path sets anon traces exactly as orig does — the paper's
+// route utility metric P_U (Fig. 8). Path sets compare as sets of
+// Path.Key strings, so an oracle may list a pair's paths in any order.
+func ExactlyKeptFraction(orig, anon spec.PathOracle, hosts []string) float64 {
+	total, kept := 0, 0
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			total++
+			if slices.Equal(pathKeys(orig.TraceFrom(src, dst)), pathKeys(anon.TraceFrom(src, dst))) {
+				kept++
+			}
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(kept) / float64(total)
+}
+
+// pathKeys returns the sorted keys of a path set.
+func pathKeys(ps []sim.Path) []string {
+	keys := make([]string, len(ps))
+	for i, p := range ps {
+		keys[i] = p.Key()
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length

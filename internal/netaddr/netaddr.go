@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net/netip"
-	"sort"
 )
 
 // Pool allocates IPv4 prefixes that do not overlap any reserved prefix.
@@ -28,7 +27,7 @@ import (
 // deterministic, which keeps the whole anonymization pipeline reproducible
 // under a fixed seed.
 type Pool struct {
-	reserved []netip.Prefix // sorted by address for overlap checks
+	reserved []netip.Prefix
 	supers   []netip.Prefix // candidate supernets to carve from
 	cursor   map[int]netip.Addr
 }
@@ -58,14 +57,12 @@ func NewPool(used []netip.Prefix, supernets []netip.Prefix) *Pool {
 		p.cursor[i] = s.Addr()
 	}
 	p.reserved = append(p.reserved, used...)
-	sortPrefixes(p.reserved)
 	return p
 }
 
 // Reserve marks pfx as in use so it will never be returned by Alloc.
 func (p *Pool) Reserve(pfx netip.Prefix) {
 	p.reserved = append(p.reserved, pfx)
-	sortPrefixes(p.reserved)
 }
 
 // Overlaps reports whether pfx overlaps any reserved prefix.
@@ -96,7 +93,6 @@ func (p *Pool) Alloc(bits int) (netip.Prefix, error) {
 			next, ok := nextBlock(cand)
 			if !p.Overlaps(cand) {
 				p.reserved = append(p.reserved, cand)
-				sortPrefixes(p.reserved)
 				if ok {
 					p.cursor[i] = next.Addr()
 				} else {
@@ -153,15 +149,6 @@ func nextBlock(pfx netip.Prefix) (netip.Prefix, bool) {
 	out[2] = byte(v >> 8)
 	out[3] = byte(v)
 	return netip.PrefixFrom(netip.AddrFrom4(out), pfx.Bits()), true
-}
-
-func sortPrefixes(s []netip.Prefix) {
-	sort.Slice(s, func(i, j int) bool {
-		if c := s[i].Addr().Compare(s[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return s[i].Bits() < s[j].Bits()
-	})
 }
 
 // Anonymizer is a deterministic prefix-preserving IPv4 address anonymizer.

@@ -167,32 +167,11 @@ func (r *Result) Path(src, dst string) []string {
 }
 
 // TraceFrom answers a single path query in the simulator's form, making
-// Result a spec.PathOracle so the same specification miner runs on
-// NetHide and ConfMask outputs.
+// Result a spec.PathOracle so the same specification miner and path
+// metrics run on NetHide and ConfMask outputs.
 func (r *Result) TraceFrom(src, dst string) []sim.Path {
 	if p := r.Path(src, dst); p != nil {
 		return []sim.Path{{Hops: p, Status: sim.Delivered}}
 	}
 	return []sim.Path{{Hops: []string{src}, Status: sim.BlackHoled}}
-}
-
-// DataPlane exposes the obfuscated paths for every ordered pair of the
-// given hosts in the simulator's data-plane form, so the same spec-mining
-// and path-comparison machinery applies to NetHide and ConfMask outputs.
-func (r *Result) DataPlane(hosts []string) *sim.DataPlane {
-	dp := &sim.DataPlane{Pairs: make(map[sim.Pair][]sim.Path)}
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s == d {
-				continue
-			}
-			key := sim.Pair{Src: s, Dst: d}
-			if p := r.Path(s, d); p != nil {
-				dp.Pairs[key] = []sim.Path{{Hops: p, Status: sim.Delivered}}
-			} else {
-				dp.Pairs[key] = []sim.Path{{Hops: []string{s}, Status: sim.BlackHoled}}
-			}
-		}
-	}
-	return dp
 }

@@ -3,12 +3,13 @@ package nethide
 import (
 	"testing"
 
+	"confmask/internal/metrics"
 	"confmask/internal/netgen"
 	"confmask/internal/sim"
 	"confmask/internal/topology"
 )
 
-func fatTreeTopo(t *testing.T) (*topology.Graph, *sim.DataPlane, []string) {
+func fatTreeTopo(t *testing.T) (*topology.Graph, *sim.Snapshot, []string) {
 	t.Helper()
 	cfg, err := netgen.FatTree04()
 	if err != nil {
@@ -18,7 +19,7 @@ func fatTreeTopo(t *testing.T) (*topology.Graph, *sim.DataPlane, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap.Net.Topology(), snap.ExtractDataPlane(), cfg.Hosts()
+	return snap.Net.Topology(), snap, cfg.Hosts()
 }
 
 func TestObfuscateAddsVirtualLinks(t *testing.T) {
@@ -70,9 +71,9 @@ func TestForwardingTreesDeliver(t *testing.T) {
 }
 
 func TestObfuscationBreaksMostPaths(t *testing.T) {
-	g, origDP, hosts := fatTreeTopo(t)
+	g, orig, hosts := fatTreeTopo(t)
 	res := Obfuscate(g, Options{Seed: 3})
-	kept := sim.ExactlyKeptFraction(origDP, res.DataPlane(hosts), hosts)
+	kept := metrics.ExactlyKeptFraction(orig, res, hosts)
 	if kept > 0.3 {
 		t.Fatalf("NetHide kept %.0f%% of paths; the paper's comparison expects <30%%", 100*kept)
 	}
@@ -110,8 +111,7 @@ func TestDataPlaneDisconnected(t *testing.T) {
 	_ = g.AddEdge("ha", "r1")
 	_ = g.AddEdge("hb", "r2") // r1 and r2 are not connected
 	res := Obfuscate(g, Options{Seed: 1, FlipFraction: 0.5})
-	dp := res.DataPlane([]string{"ha", "hb"})
-	ps := dp.Pairs[sim.Pair{Src: "ha", Dst: "hb"}]
+	ps := res.TraceFrom("ha", "hb")
 	if len(ps) != 1 || ps[0].Status != sim.BlackHoled {
 		t.Fatalf("expected black hole for disconnected pair, got %v", ps)
 	}

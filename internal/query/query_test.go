@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,6 +28,20 @@ func mustSnap(t testing.TB, name string, parallelism int) *sim.Snapshot {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// traceAll traces every ordered host pair of snap into its path caches,
+// one destination per worker slot: the full data-plane extraction a
+// batch is measured against.
+func traceAll(snap *sim.Snapshot) {
+	hosts := snap.Hosts()
+	sim.ForEachIndex(runtime.GOMAXPROCS(0), len(hosts), func(j int) {
+		for _, src := range hosts {
+			if src != hosts[j] {
+				snap.TraceFrom(src, hosts[j])
+			}
+		}
+	})
 }
 
 // mixedBatch builds a deterministic batch cycling through every kind,
@@ -239,10 +254,10 @@ func TestThousandPredicateBatchFatTree08(t *testing.T) {
 		t.Skip("FatTree08 batch in -short mode")
 	}
 	// Fresh snapshot: time a full extraction (graph build and path walks
-	// for all 64 destinations).
+	// for all 64 destinations, sharded by destination across the workers).
 	cold := mustSnap(t, "H", 0)
 	start := time.Now()
-	cold.ExtractDataPlane()
+	traceAll(cold)
 	extraction := time.Since(start)
 
 	// The same snapshot is now warm: a mixed 1k batch must be cheaper
@@ -334,7 +349,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap.ExtractDataPlane()
+	traceAll(snap)
 	e := New(snap, Options{Baseline: snap})
 	qs := mixedBatch(snap, 256, 9, true)
 	ctx := context.Background()

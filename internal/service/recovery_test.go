@@ -224,8 +224,8 @@ func TestDrainRequeueResume(t *testing.T) {
 // shows a running job and a queued one, like a SIGKILL would leave) and
 // simply abandoned; server B opens the same data dir and must finish both
 // jobs byte-identically. The strawman2 strategy is used for job A so the
-// resumed run exercises DataPlaneForDirty against re-derived (not
-// journaled) FilterDiff state.
+// resumed run exercises strawman 2's delta re-simulations against
+// re-derived (not journaled) filter state.
 func TestReplayFromAbandonedServer(t *testing.T) {
 	dir := t.TempDir()
 	entered := make(chan struct{})

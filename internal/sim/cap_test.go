@@ -214,7 +214,7 @@ func TestCapBoundaryMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+			assertDataPlaneMatchesNaive(t, snap, hosts)
 			for _, dev := range devs {
 				for _, dst := range hosts {
 					if got, want := snap.TraceFrom(dev, dst), snap.traceNaive(dev, dst, Failure{}); !samePaths(got, want) {

@@ -16,14 +16,14 @@ import (
 // answers two kinds of question over that graph:
 //
 //   - Path listings and their fingerprints (TraceFrom, TraceUnderFailure,
-//     the data-plane extractions and PairDigestsFor). walk, below, is the
+//     PairDigestsFor and DiffForwarding's fallback). walk, below, is the
 //     one copy of the forwarding semantics: ECMP branch order, the
 //     maxTracePaths cap, the maxTraceDepth bound and the Delivered /
 //     Looped / BlackHoled classification. It records hop indices; the
 //     walker sorts them into canonical order and either names them (a
 //     path listing) or hashes them (a fingerprint, with no path built).
-//     Each source's sorted list is cached on the engine, so a source is
-//     walked at most once per destination. The tests pin the walker
+//     Each source's sorted listing is cached on the engine, so a source
+//     is walked at most once per destination. The tests pin the walker
 //     against a naive reimplementation on the evaluation networks, on
 //     randomized topologies with injected loops and black holes, and
 //     across the path cap, and its order and fingerprints against
@@ -132,13 +132,6 @@ func (e *destEngine) reaching() []bool {
 	return reach
 }
 
-// srcResult is a finished per-source trace: canonically sorted paths plus
-// the fingerprint EqualOver-style comparisons use.
-type srcResult struct {
-	paths []Path
-	fp    Digest
-}
-
 // destEngine holds one destination's successor graph and finished
 // per-source results. All lazy state is guarded by mu so concurrent
 // TraceFrom calls on the same destination are safe; distinct destinations
@@ -167,10 +160,11 @@ type destEngine struct {
 	extra  map[string]int32
 	nodes  []destNode
 	w      walker
-	bySrc  map[string]srcResult
+	// bySrc caches each source's canonically sorted paths.
+	bySrc map[string][]Path
 	// failRes caches finished what-if traces per (failure, src); see
 	// whatif.go.
-	failRes map[string]srcResult
+	failRes map[string][]Path
 }
 
 // Devices returns every configured device name in the Snapshot's dense
@@ -222,8 +216,8 @@ func (s *Snapshot) transientEngineFor(dst string) *destEngine {
 }
 
 // traceWorkers resolves the worker-pool size for destination-sharded
-// extraction: the Parallelism the Snapshot was simulated with, or
-// GOMAXPROCS for Snapshots assembled without options.
+// work (PairDigestsFor, DiffForwarding): the Parallelism the Snapshot was
+// simulated with, or GOMAXPROCS for Snapshots assembled without options.
 func (s *Snapshot) traceWorkers() int {
 	if s.workers > 0 {
 		return s.workers
@@ -231,55 +225,51 @@ func (s *Snapshot) traceWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pathsFor returns the canonical path set and fingerprint from src toward
-// the engine's destination: walked and sorted at most once per source,
-// then served from bySrc.
-func (e *destEngine) pathsFor(src string) ([]Path, Digest) {
+// pathsFor returns the canonical path set from src toward the engine's
+// destination: walked and sorted at most once per source, then served
+// from bySrc.
+func (e *destEngine) pathsFor(src string) []Path {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.pathsForLocked(src)
 }
 
 // pathsForLocked is pathsFor for callers already holding mu.
-func (e *destEngine) pathsForLocked(src string) ([]Path, Digest) {
-	if r, ok := e.bySrc[src]; ok {
-		return r.paths, r.fp
+func (e *destEngine) pathsForLocked(src string) []Path {
+	if ps, ok := e.bySrc[src]; ok {
+		return ps
 	}
 	if !e.built {
 		e.build()
 	}
-	ps, fp := e.trace(e.indexOf(src), Failure{})
+	ps := e.trace(e.indexOf(src), Failure{})
 	if e.bySrc == nil {
-		e.bySrc = make(map[string]srcResult)
+		e.bySrc = make(map[string][]Path)
 	}
-	e.bySrc[src] = srcResult{paths: ps, fp: fp}
-	return ps, fp
+	e.bySrc[src] = ps
+	return ps
 }
 
-// trace walks start under f and returns the canonical path list and its
-// fingerprint. Callers hold mu, with the engine built.
-func (e *destEngine) trace(start int32, f Failure) ([]Path, Digest) {
+// trace walks start under f and returns the canonical path list. Callers
+// hold mu, with the engine built.
+func (e *destEngine) trace(start int32, f Failure) []Path {
 	w := e.walk(start, f)
 	w.sort()
-	return w.result(), w.digest()
+	return w.result()
 }
 
 // digestFor returns only the fingerprint of the canonical path set from
-// src. A source pathsFor already answered reads its cached fingerprint;
-// any other is walked, sorted and hashed from its hop indices without
-// naming a hop or caching, since digest-only extraction queries each
-// source once per destination and transient engines must stay transient.
-// A nil engine (unknown destination) yields the zero digest of the empty
-// path set, like TraceFrom's nil.
+// src: walked, sorted and hashed from its hop indices without naming a
+// hop or caching, since digest-only extraction queries each source once
+// per destination and transient engines must stay transient. A nil
+// engine (unknown destination) yields the zero digest of the empty path
+// set, like TraceFrom's nil.
 func (e *destEngine) digestFor(src string) Digest {
 	if e == nil {
 		return Digest{}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r, ok := e.bySrc[src]; ok {
-		return r.fp
-	}
 	if !e.built {
 		e.build()
 	}
@@ -575,11 +565,10 @@ func (w *walker) digest() Digest {
 
 // sortPathsByKey orders paths canonically, deriving each Key exactly
 // once, and returns the 128-bit canonical fingerprint alongside. It is
-// the reference the walker's own sort and digest are tested against, and
-// fingerprints hand-assembled DataPlanes. The sorted keys are hashed
-// through one exactly-sized transient buffer instead of being joined
-// into a retained string. The input slice is not reordered: pairDigest
-// passes the path slices a DataPlane shares with its caller.
+// the reference the walker's own sort and digest are tested against. The
+// sorted keys are hashed through one exactly-sized transient buffer
+// instead of being joined into a retained string. The input slice is not
+// reordered: the tests pass the cached slices TraceFrom hands out.
 func sortPathsByKey(ps []Path) ([]Path, Digest) {
 	if len(ps) == 0 {
 		return ps, Digest{}

@@ -10,26 +10,12 @@ import (
 	"confmask/internal/netgen"
 )
 
-// These tests pin the destination-sharded engine to the seed per-pair
+// These tests pin the per-destination engine to the seed per-pair
 // recursive walker (traceNaive in oracle_test.go): every path set must be
 // byte-identical — hop for hop, status for status, in canonical order —
 // on the full evaluation catalog, on randomized topologies, on FIBs
 // mutated to contain forwarding loops, black holes, and over-depth
-// chains, and under dirty-destination reuse.
-
-// naiveDataPlane extracts the data plane with the reference walker.
-func naiveDataPlane(s *Snapshot, hosts []string) map[Pair][]Path {
-	out := make(map[Pair][]Path)
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
-				continue
-			}
-			out[Pair{Src: src, Dst: dst}] = s.traceNaive(src, dst, Failure{})
-		}
-	}
-	return out
-}
+// chains, and across filter-edit deltas.
 
 // samePaths reports whether two canonical path lists are byte-identical.
 func samePaths(a, b []Path) bool {
@@ -49,29 +35,61 @@ func samePaths(a, b []Path) bool {
 	return true
 }
 
-// assertDataPlaneMatchesNaive compares an engine-built DataPlane against
-// the reference walker pair by pair, including the precomputed
-// fingerprints.
-func assertDataPlaneMatchesNaive(t *testing.T, s *Snapshot, hosts []string, dp *DataPlane) {
+// assertDataPlaneMatchesNaive compares the Snapshot's data plane over
+// hosts against the reference walker pair by pair: the TraceFrom listing
+// of every ordered pair, traced destination by destination across the
+// Snapshot's workers as the engines' concurrent callers would, and its
+// PairDigestsFor fingerprint.
+func assertDataPlaneMatchesNaive(t *testing.T, s *Snapshot, hosts []string) {
 	t.Helper()
-	want := naiveDataPlane(s, hosts)
-	if len(dp.Pairs) != len(want) {
-		t.Fatalf("pair count = %d, want %d", len(dp.Pairs), len(want))
-	}
-	for k, wantPaths := range want {
-		got := dp.Pairs[k]
-		if !samePaths(got, wantPaths) {
-			t.Fatalf("pair %v: engine paths differ from naive walker\n got: %v\nwant: %v", k, got, wantPaths)
+	n := len(hosts)
+	got := make([][]Path, n*n) // got[j*n+i] is hosts[i] → hosts[j]
+	forEachIndex(s.traceWorkers(), n, func(j int) {
+		for i, src := range hosts {
+			got[j*n+i] = s.TraceFrom(src, hosts[j])
 		}
-		if fp := dp.pairDigest(k); fp != digestOfBytes([]byte(pathSetKey(wantPaths))) {
-			t.Fatalf("pair %v: fingerprint %x != digest of pathSetKey %q", k, fp, pathSetKey(wantPaths))
+	})
+	pd := s.PairDigestsFor(hosts)
+	for j, dst := range hosts {
+		for i, src := range hosts {
+			if src == dst {
+				continue
+			}
+			want := s.traceNaive(src, dst, Failure{})
+			if !samePaths(got[j*n+i], want) {
+				t.Fatalf("pair %s->%s: engine paths differ from naive walker\n got: %v\nwant: %v", src, dst, got[j*n+i], want)
+			}
+			if fp, _ := pd.Digest(src, dst); fp != digestOfBytes([]byte(pathSetKey(want))) {
+				t.Fatalf("pair %s->%s: fingerprint %x != digest of pathSetKey %q", src, dst, fp, pathSetKey(want))
+			}
+		}
+	}
+}
+
+// assertCleanPathsKept checks the FilterDiff contract a delta relies on:
+// every destination the diff leaves clean keeps, from every host, the
+// paths it had on prev.
+func assertCleanPathsKept(t *testing.T, prev, next *Snapshot, hosts []string, diff *FilterDiff) {
+	t.Helper()
+	for _, dst := range hosts {
+		if diff.Affects(next.Net.HostPrefix[dst]) {
+			continue
+		}
+		for _, src := range hosts {
+			if src == dst {
+				continue
+			}
+			if got, want := next.TraceFrom(src, dst), prev.TraceFrom(src, dst); !samePaths(got, want) {
+				t.Fatalf("clean pair %s->%s changed\n got: %v\nwant: %v", src, dst, got, want)
+			}
 		}
 	}
 }
 
 // TestDataPlaneEngineMatchesNaiveCatalog is the acceptance pin: on all
 // eight evaluation networks, at every parallelism setting, the engine's
-// DataPlane is byte-identical to the seed recursive walker.
+// path listings and fingerprints are byte-identical to the seed recursive
+// walker's.
 func TestDataPlaneEngineMatchesNaiveCatalog(t *testing.T) {
 	for _, spec := range netgen.Catalog() {
 		spec := spec
@@ -86,8 +104,7 @@ func TestDataPlaneEngineMatchesNaiveCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dp := snap.ExtractDataPlane()
-				assertDataPlaneMatchesNaive(t, snap, cfg.Hosts(), dp)
+				assertDataPlaneMatchesNaive(t, snap, cfg.Hosts())
 			}
 		})
 	}
@@ -144,8 +161,8 @@ func randomSimNet(t *testing.T, proto netgen.Proto, rng *rand.Rand) *config.Netw
 }
 
 // TestDataPlaneEngineMatchesNaiveRandom fuzzes converged topologies:
-// full extraction at random parallelism plus TraceFrom from every device
-// (Algorithm 2's router-sourced traces) must match the walker.
+// every host pair at random parallelism plus TraceFrom from every device
+// (router-sourced traces) must match the walker.
 func TestDataPlaneEngineMatchesNaiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4021))
 	protos := []netgen.Proto{netgen.OSPF, netgen.RIP, netgen.EIGRP}
@@ -157,7 +174,7 @@ func TestDataPlaneEngineMatchesNaiveRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		hosts := cfg.Hosts()
-		assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+		assertDataPlaneMatchesNaive(t, snap, hosts)
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
@@ -205,7 +222,7 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
 			}
 		}
-		assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+		assertDataPlaneMatchesNaive(t, snap, hosts)
 		for _, dev := range cfg.Names() {
 			for _, dst := range hosts {
 				got := snap.TraceFrom(dev, dst)
@@ -243,7 +260,7 @@ func TestDataPlaneEngineDeepPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := cfg.Hosts()
-	assertDataPlaneMatchesNaive(t, snap, hosts, snap.DataPlaneFor(hosts))
+	assertDataPlaneMatchesNaive(t, snap, hosts)
 	// Also from mid-chain routers: prefixes of every length around the
 	// depth boundary.
 	for _, dev := range names {
@@ -290,9 +307,9 @@ func attachIGPDeny(d *config.Device, iface string, pfx netip.Prefix) bool {
 }
 
 // TestDataPlaneForDirtyRandom is the dirty-destination property test:
-// after each random filter mutation, DataPlaneForDirty carrying the
-// previous result forward must equal a from-scratch naive extraction, and
-// clean destinations must actually reuse the prior path slices.
+// after each random filter mutation, the delta re-simulation's paths and
+// fingerprints must equal the naive walker's, and every destination the
+// InvalidateFilters diff leaves clean must keep its previous paths.
 func TestDataPlaneForDirtyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	protos := []netgen.Proto{netgen.OSPF, netgen.RIP, netgen.EIGRP}
@@ -305,8 +322,7 @@ func TestDataPlaneForDirtyRandom(t *testing.T) {
 		}
 		snap := SimulateNetOpts(view, Options{Parallelism: 1 + rng.Intn(4)})
 		hosts := cfg.Hosts()
-		prev := snap.DataPlaneFor(hosts)
-		assertDataPlaneMatchesNaive(t, snap, hosts, prev)
+		assertDataPlaneMatchesNaive(t, snap, hosts)
 
 		routers := cfg.Routers()
 		var denied []struct {
@@ -343,30 +359,10 @@ func TestDataPlaneForDirtyRandom(t *testing.T) {
 			}
 
 			diff := view.InvalidateFilters()
+			prev := snap
 			snap = SimulateNetOpts(view, Options{Parallelism: 1 + rng.Intn(4)})
-			got := snap.DataPlaneForDirty(hosts, prev, diff)
-			assertDataPlaneMatchesNaive(t, snap, hosts, got)
-
-			// Clean destinations must carry the previous slices forward,
-			// not re-trace.
-			for _, dst := range hosts {
-				if diff.Affects(snap.Net.HostPrefix[dst]) {
-					continue
-				}
-				for _, src := range hosts {
-					if src == dst {
-						continue
-					}
-					k := Pair{Src: src, Dst: dst}
-					if len(prev.Pairs[k]) == 0 {
-						continue
-					}
-					if &got.Pairs[k][0] != &prev.Pairs[k][0] {
-						t.Fatalf("trial %d round %d: clean pair %v was re-traced", trial, round, k)
-					}
-				}
-			}
-			prev = got
+			assertDataPlaneMatchesNaive(t, snap, hosts)
+			assertCleanPathsKept(t, prev, snap, hosts, diff)
 		}
 	}
 }
@@ -418,7 +414,8 @@ func TestFilterDiffReporting(t *testing.T) {
 
 // TestDataPlaneForDirtyBGP covers the eBGP attachment path on the
 // Backbone network: a distribute-list denial on a BGP session must be
-// reported dirty and the dirty extraction must match the walker.
+// reported dirty, the delta re-simulation's paths must match the walker,
+// and the destinations left clean must keep their paths.
 func TestDataPlaneForDirtyBGP(t *testing.T) {
 	cfg, err := netgen.Backbone()
 	if err != nil {
@@ -428,9 +425,9 @@ func TestDataPlaneForDirtyBGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := SimulateNet(view)
+	prev := SimulateNet(view)
 	hosts := cfg.Hosts()
-	prev := snap.DataPlaneFor(hosts)
+	assertDataPlaneMatchesNaive(t, prev, hosts)
 
 	// Find a router with a BGP neighbor and deny some host's prefix
 	// inbound on that session.
@@ -456,7 +453,7 @@ func TestDataPlaneForDirtyBGP(t *testing.T) {
 	if !diff.Affects(pfx) {
 		t.Fatalf("BGP deny not reported dirty for %v", pfx)
 	}
-	snap = SimulateNet(view)
-	got := snap.DataPlaneForDirty(hosts, prev, diff)
-	assertDataPlaneMatchesNaive(t, snap, hosts, got)
+	snap := SimulateNet(view)
+	assertDataPlaneMatchesNaive(t, snap, hosts)
+	assertCleanPathsKept(t, prev, snap, hosts, diff)
 }

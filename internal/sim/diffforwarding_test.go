@@ -8,14 +8,14 @@ import (
 	"confmask/internal/netgen"
 )
 
-// assertDiffForwarding checks DiffForwarding against the data-plane diff
+// assertDiffForwarding checks DiffForwarding against the traced pair diff
 // of the same two Snapshots and returns the pairs it reported.
 func assertDiffForwarding(t *testing.T, a, b *Snapshot, hosts []string) []Pair {
 	t.Helper()
 	got := DiffForwarding(a, b, hosts)
-	want := DiffPairs(a.DataPlaneFor(hosts), b.DataPlaneFor(hosts), hosts)
+	want := tracedDiff(a, b, hosts)
 	if !slices.Equal(got, want) {
-		t.Fatalf("DiffForwarding = %v\nDiffPairs      = %v", got, want)
+		t.Fatalf("DiffForwarding = %v\ntracedDiff     = %v", got, want)
 	}
 	return got
 }
@@ -25,8 +25,8 @@ func sameSuccessorsToward(a, b *Snapshot, dst string, hosts []string) bool {
 	return sameSuccessors(a.transientEngineFor(dst), b.transientEngineFor(dst), hosts)
 }
 
-// TestDiffForwardingMatchesDiffPairs pins DiffForwarding to the full
-// data-plane diff on every catalog network at Parallelism 1 and 4: against
+// TestDiffForwardingMatchesDiffPairs pins DiffForwarding to the traced
+// pair diff on every catalog network at Parallelism 1 and 4: against
 // an independent simulation of itself (no pair may differ), against a copy
 // with one route on a host's path deleted (some pair must differ), and
 // against a copy with randomly corrupted FIBs. Identical networks must

@@ -12,11 +12,12 @@ import (
 // and depth. A fingerprint is instead a fixed-size 128-bit digest of
 // exactly that byte sequence, which the walker hashes from the hop
 // indices of its sorted output without naming a path (sortPathsByKey
-// hashes the same bytes from Paths). Equality of digests stands in for equality of canonical keys
-// everywhere only equality is needed (EqualOver, DiffPairs,
-// ExactlyKeptFraction, PairDigests.DiffPairs); explaining a difference
-// still reads the exact paths. DiffForwarding, the pipeline's equivalence
-// check, digests only the destinations whose successor graphs differ.
+// hashes the same bytes from Paths). Equality of digests stands in for
+// equality of canonical keys everywhere only equality is needed
+// (PairDigests.DiffPairs, DiffForwarding's fallback); explaining a
+// difference still reads the exact paths through TraceFrom.
+// DiffForwarding, the equivalence check, digests only the destinations
+// whose successor graphs differ.
 //
 // The digest is the first 128 bits of SHA-256 over the canonical key
 // bytes. Two distinct path sets collide with probability ~2⁻¹²⁸ per pair
@@ -42,10 +43,9 @@ func digestOfBytes(b []byte) Digest {
 
 // PairDigests is a fingerprint-only data plane: one Digest per ordered
 // host pair, stored in a flat dense array (16 bytes per pair, no per-pair
-// path or string storage). It answers the same equality questions as a
-// full DataPlane at a peak heap cost that scales with topology size
-// rather than with H² path data; callers that need the actual hop
-// sequences (diff explanation, repair) materialize them separately.
+// path or string storage). It answers path-set equality questions at a
+// peak heap cost that scales with topology size rather than with H² path
+// data; callers that need the actual hop sequences read TraceFrom.
 type PairDigests struct {
 	hosts []string
 	index map[string]int
@@ -85,14 +85,13 @@ func (pd *PairDigests) Digest(src, dst string) (Digest, bool) {
 }
 
 // Equal reports whether two digest planes agree on every ordered pair of
-// a's hosts — the digest analogue of EqualOver.
+// pd's hosts.
 func (pd *PairDigests) Equal(other *PairDigests) bool {
 	return len(pd.DiffPairs(other)) == 0
 }
 
 // DiffPairs returns the ordered pairs (drawn from pd's hosts) whose
-// digests differ, in sorted order — the digest analogue of DiffPairs over
-// full DataPlanes.
+// digests differ, sorted by source, then destination.
 func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 	var out []Pair
 	for j, dst := range pd.hosts {
@@ -117,9 +116,8 @@ func (pd *PairDigests) DiffPairs(other *PairDigests) []Pair {
 // walk and drops it, and releases the engine before moving on. Peak heap
 // is bounded by the worker count times one destination's successor graph
 // (which scales with topology size) and one source's capped walk, plus
-// the flat 16-byte-per-pair result — never by H² materialized paths. The
-// digests are identical to the ones a full DataPlaneFor extraction
-// computes for the same Snapshot.
+// the flat 16-byte-per-pair result — never by H² materialized paths. Each
+// digest is the fingerprint of the path set TraceFrom lists for the pair.
 func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
 	pd := newPairDigests(hosts)
 	forEachIndex(s.traceWorkers(), len(hosts), func(j int) {
@@ -139,9 +137,9 @@ func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
 }
 
 // DiffForwarding returns the ordered pairs drawn from hosts whose path
-// sets differ between orig and anon, sorted like DiffPairs and identical
-// at any worker count — the strong-functional-equivalence check (§5.1)
-// without extracting either data plane.
+// sets differ between orig and anon, sorted like PairDigests.DiffPairs
+// and identical at any worker count — the strong-functional-equivalence
+// check (§5.1) without extracting either data plane.
 //
 // A destination whose longest-prefix-match columns both Snapshots share,
 // over one device table (BuildFrom carries columns that way), routes
@@ -219,8 +217,3 @@ func sameSuccessors(e, o *destEngine, srcs []string) bool {
 	}
 	return true
 }
-
-// Digests returns the fingerprint-only view of an extracted DataPlane,
-// over the host list it was extracted from (shared; read-only). It is nil
-// for hand-assembled DataPlanes.
-func (dp *DataPlane) Digests() *PairDigests { return dp.digests }

@@ -8,11 +8,25 @@ import (
 	"confmask/internal/netgen"
 )
 
+// tracedDigests is the reference digest plane: every ordered pair's
+// sortPathsByKey fingerprint over its TraceFrom listing.
+func tracedDigests(s *Snapshot, hosts []string) *PairDigests {
+	pd := newPairDigests(hosts)
+	for j, dst := range hosts {
+		for i, src := range hosts {
+			if src != dst {
+				_, pd.column(j)[i] = sortPathsByKey(s.TraceFrom(src, dst))
+			}
+		}
+	}
+	return pd
+}
+
 // TestPairDigestsMatchDataPlane pins the digest-only extraction path
-// against the full extraction path: on every evaluation network,
-// PairDigestsFor (transient engines, no path materialization) must
-// produce exactly the digest the full DataPlane stores for every ordered
-// pair — which the naive-walker tests already pin to pathSetKey.
+// against the path listings: on every evaluation network, PairDigestsFor
+// (transient engines, no path materialization) must produce exactly the
+// sortPathsByKey fingerprint of every ordered pair's TraceFrom listing,
+// which the naive-walker tests pin to traceNaive.
 func TestPairDigestsMatchDataPlane(t *testing.T) {
 	for _, spec := range netgen.Catalog() {
 		spec := spec
@@ -29,7 +43,7 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 				}
 				hosts := snap.Hosts()
 				pd := snap.PairDigestsFor(hosts)
-				dp := snap.DataPlaneFor(hosts)
+				ref := tracedDigests(snap, hosts)
 				for _, src := range hosts {
 					for _, dst := range hosts {
 						if src == dst {
@@ -39,15 +53,15 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 						if !ok {
 							t.Fatalf("par %d: pair %s->%s missing from PairDigests", par, src, dst)
 						}
-						if want := dp.pairDigest(Pair{Src: src, Dst: dst}); got != want {
-							t.Fatalf("par %d: pair %s->%s digest %x != full-extraction %x", par, src, dst, got, want)
+						if want, _ := ref.Digest(src, dst); got != want {
+							t.Fatalf("par %d: pair %s->%s digest %x != traced %x", par, src, dst, got, want)
 						}
 					}
 				}
-				if !pd.Equal(dp.Digests()) {
-					t.Fatalf("par %d: PairDigests not Equal to DataPlane-derived digests", par)
+				if !pd.Equal(ref) {
+					t.Fatalf("par %d: PairDigests not Equal to the traced digests", par)
 				}
-				if diff := pd.DiffPairs(dp.Digests()); len(diff) != 0 {
+				if diff := pd.DiffPairs(ref); len(diff) != 0 {
 					t.Fatalf("par %d: unexpected digest diff %v", par, diff)
 				}
 			}
@@ -55,9 +69,9 @@ func TestPairDigestsMatchDataPlane(t *testing.T) {
 	}
 }
 
-// TestPairDigestsLoopFallback exercises the digest path through the
-// loop/deep fallback: corrupted FIBs with forwarding loops and black
-// holes must digest identically via PairDigestsFor and full extraction.
+// TestPairDigestsCorruptedFIBs exercises the digest path on corrupted
+// FIBs: with forwarding loops and black holes, PairDigestsFor must digest
+// every pair as sortPathsByKey does its TraceFrom listing.
 func TestPairDigestsCorruptedFIBs(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
@@ -69,14 +83,13 @@ func TestPairDigestsCorruptedFIBs(t *testing.T) {
 		corruptFIBs(snap, rng)
 		hosts := snap.Hosts()
 		pd := snap.PairDigestsFor(hosts)
-		dp := snap.DataPlaneFor(hosts)
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				if src == dst {
 					continue
 				}
 				got, _ := pd.Digest(src, dst)
-				if want := dp.pairDigest(Pair{Src: src, Dst: dst}); got != want {
+				if _, want := sortPathsByKey(snap.TraceFrom(src, dst)); got != want {
 					t.Fatalf("trial %d: pair %s->%s digest mismatch", trial, src, dst)
 				}
 			}
@@ -85,7 +98,7 @@ func TestPairDigestsCorruptedFIBs(t *testing.T) {
 }
 
 // TestPairDigestsDiffPairsMatchesDataPlane checks the digest diff against
-// the full-plane diff across two genuinely different snapshots.
+// the traced reference diff across two genuinely different snapshots.
 func TestPairDigestsDiffPairsMatchesDataPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomSimNet(t, netgen.OSPF, rng)
@@ -99,10 +112,10 @@ func TestPairDigestsDiffPairsMatchesDataPlane(t *testing.T) {
 	}
 	corruptFIBs(snapB, rng)
 	hosts := snapA.Hosts()
-	wantDiff := DiffPairs(snapA.DataPlaneFor(hosts), snapB.DataPlaneFor(hosts), hosts)
+	wantDiff := tracedDiff(snapA, snapB, hosts)
 	gotDiff := snapA.PairDigestsFor(hosts).DiffPairs(snapB.PairDigestsFor(hosts))
 	if len(gotDiff) != len(wantDiff) {
-		t.Fatalf("digest diff %d pairs, full diff %d pairs", len(gotDiff), len(wantDiff))
+		t.Fatalf("digest diff %d pairs, traced diff %d pairs", len(gotDiff), len(wantDiff))
 	}
 	for i := range gotDiff {
 		if gotDiff[i] != wantDiff[i] {
@@ -247,7 +260,7 @@ func BenchmarkExtractDigestsFatTree08(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	// PairDigestsFor uses transient engines, so every iteration re-does
-	// the full per-destination analysis — unlike DataPlaneFor, which would
+	// the full per-destination analysis — unlike TraceFrom, which would
 	// serve iterations 2..N from the Snapshot's engine cache.
 	for i := 0; i < b.N; i++ {
 		_ = snap.PairDigestsFor(hosts)
@@ -267,14 +280,12 @@ func BenchmarkSortPathsByKeyFatTree08(b *testing.B) {
 		b.Fatal(err)
 	}
 	hosts := snap.Hosts()
-	dp := snap.DataPlaneFor(hosts)
 	var sets [][]Path
-	for _, ps := range dp.Pairs {
-		if len(ps) > 0 {
-			sets = append(sets, ps)
-		}
-		if len(sets) == 256 {
-			break
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst && len(sets) < 256 {
+				sets = append(sets, snap.TraceFrom(src, dst))
+			}
 		}
 	}
 	b.ReportAllocs()

@@ -119,8 +119,8 @@ func TestEIGRPRoundTripThroughText(t *testing.T) {
 	reparsed := mustParse(t, cfg)
 	s2 := mustSim(t, reparsed)
 	hosts := cfg.Hosts()
-	if !EqualOver(s1.ExtractDataPlane(), s2.ExtractDataPlane(), hosts) {
-		t.Fatal("EIGRP data plane changed across render/parse round trip")
+	if d := tracedDiff(s1, s2, hosts); len(d) != 0 {
+		t.Fatalf("EIGRP data plane changed across render/parse round trip: %v", d)
 	}
 	if reparsed.Device("r1").Interfaces[0].Delay != 25 {
 		t.Fatal("delay lost in round trip")

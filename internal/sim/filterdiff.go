@@ -9,10 +9,10 @@ import (
 // FilterDiff summarizes what changed between two filter views of a Net:
 // the set of destination prefixes whose deny decision may have flipped
 // anywhere in the network. InvalidateFilters returns one so callers can
-// re-walk only the destinations a filter mutation can affect
-// (DataPlaneForDirty carries the rest forward from the prior DataPlane;
-// Algorithm 2 re-checks reachability only for dirty fake hosts). The Net
-// keeps the union of the diffs since its last simulation too: the next
+// re-check only the destinations a filter mutation can affect (Algorithm
+// 1 re-scans only the marked destinations; Algorithm 2 re-checks
+// reachability only for dirty fake hosts). The Net keeps the union of the
+// diffs since its last simulation too: the next
 // SimulateNet rebuilds only the OSPF rows and route columns of the
 // prefixes that union marks, and shares every other column with the
 // previous Snapshot.
@@ -27,9 +27,10 @@ import (
 // changes the route columns of the prefixes in P, so a trace toward
 // destination d can only change when some prefix in P overlaps d's LAN
 // prefix. The property
-// tests in dataplane_test.go exercise this end to end against full
-// re-extraction, and delta_test.go pins delta re-simulation, and the
-// seeded Nets of BuildFrom, against a fresh Build.
+// tests in dataplane_test.go exercise this end to end: every destination
+// the diff leaves clean keeps its paths, and every path matches the naive
+// walker; delta_test.go pins delta re-simulation, and the seeded Nets of
+// BuildFrom, against a fresh Build.
 //
 // The diff is conservative: ranged (`le`) rule changes and attachment
 // changes of ranged lists mark everything dirty, and a nil *FilterDiff

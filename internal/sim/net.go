@@ -235,9 +235,9 @@ func compileList(pl *config.PrefixList) *listEval {
 // mutation left alone are not simulated again.
 //
 // The returned FilterDiff reports which destination prefixes may see a
-// different deny decision than under the previous view; pass it to
-// Snapshot.DataPlaneForDirty to re-trace only affected destinations.
-// Ignoring the result is always safe: the Net also folds it into the set
+// different deny decision than under the previous view, so a caller can
+// re-check only the destinations it affects. Ignoring the result is
+// always safe: the Net also folds it into the set
 // of prefixes its next SimulateNet recomputes. A filter edit without a
 // following InvalidateFilters is invisible to the Net — the next
 // SimulateNet carries every prefix forward from the previous one, so

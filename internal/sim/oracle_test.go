@@ -108,6 +108,27 @@ func (s *Snapshot) reachNaive(start, dst string) bool {
 	return false
 }
 
+// tracedDiff is the reference pair diff: the ordered pairs drawn from
+// hosts whose TraceFrom listings on a and b have different sortPathsByKey
+// fingerprints, sorted by source, then destination.
+func tracedDiff(a, b *Snapshot, hosts []string) []Pair {
+	var out []Pair
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src == dst {
+				continue
+			}
+			_, fa := sortPathsByKey(a.TraceFrom(src, dst))
+			_, fb := sortPathsByKey(b.TraceFrom(src, dst))
+			if fa != fb {
+				out = append(out, Pair{Src: src, Dst: dst})
+			}
+		}
+	}
+	sortPairs(out)
+	return out
+}
+
 // pathSetKey is the fingerprint oracle: the canonical path-set key whose
 // bytes every Digest hashes, built the slow way.
 func pathSetKey(ps []Path) string {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"confmask/internal/config"
@@ -370,19 +371,24 @@ func TestFIBLookupLongestPrefixMatch(t *testing.T) {
 func TestDataPlaneExtractionAndDiff(t *testing.T) {
 	cfg := figure2Network(t)
 	s := mustSim(t, cfg)
-	dp := s.ExtractDataPlane()
-	if len(dp.Pairs) != 6 { // 3 hosts × 2
-		t.Fatalf("pairs = %d", len(dp.Pairs))
+	hosts := cfg.Hosts()
+	pairs := 0
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst && len(s.TraceFrom(src, dst)) > 0 {
+				pairs++
+			}
+		}
 	}
-	if !dp.Reachable("h1", "h4") {
+	if pairs != 6 { // 3 hosts × 2
+		t.Fatalf("pairs = %d", pairs)
+	}
+	if !slices.ContainsFunc(s.TraceFrom("h1", "h4"), func(p Path) bool { return p.Status == Delivered }) {
 		t.Fatal("h1→h4 should be reachable")
 	}
-	hosts := cfg.Hosts()
-	if !EqualOver(dp, dp, hosts) {
-		t.Fatal("DP must equal itself")
-	}
-	if got := ExactlyKeptFraction(dp, dp, hosts); got != 1 {
-		t.Fatalf("kept fraction = %v", got)
+	pd := s.PairDigestsFor(hosts)
+	if d := pd.DiffPairs(s.PairDigestsFor(hosts)); len(d) != 0 {
+		t.Fatalf("DP must equal itself: %v", d)
 	}
 
 	// Change routing: drop the cost advantage by filtering, then diff.
@@ -395,14 +401,12 @@ func TestDataPlaneExtractionAndDiff(t *testing.T) {
 	r1.EnsurePrefixList("F").Deny(h4)
 	r1.OSPF.InFilters[local.Iface] = "F"
 	s2 := mustSim(t, cfg2)
-	dp2 := s2.ExtractDataPlane()
-	diff := DiffPairs(dp, dp2, hosts)
+	diff := pd.DiffPairs(s2.PairDigestsFor(hosts))
 	if len(diff) != 1 || diff[0] != (Pair{Src: "h1", Dst: "h4"}) {
 		t.Fatalf("diff = %v", diff)
 	}
-	frac := ExactlyKeptFraction(dp, dp2, hosts)
-	if frac <= 0.8 || frac >= 1 {
-		t.Fatalf("kept fraction = %v", frac)
+	if traced := tracedDiff(s, s2, hosts); !slices.Equal(traced, diff) {
+		t.Fatalf("traced diff = %v, digest diff = %v", traced, diff)
 	}
 }
 
@@ -429,8 +433,8 @@ func TestRoundTripThroughTextPreservesDataPlane(t *testing.T) {
 	}
 	s2 := mustSim(t, cfg2)
 	hosts := cfg.Hosts()
-	if !EqualOver(s1.ExtractDataPlane(), s2.ExtractDataPlane(), hosts) {
-		t.Fatal("data plane changed across render/parse round trip")
+	if d := tracedDiff(s1, s2, hosts); len(d) != 0 {
+		t.Fatalf("data plane changed across render/parse round trip: %v", d)
 	}
 }
 

@@ -100,8 +100,7 @@ func (s *Snapshot) TraceUnderFailure(start, dst string, f Failure) []Path {
 	if e == nil {
 		return nil
 	}
-	ps, _ := e.pathsUnderFailure(start, f)
-	return ps
+	return e.pathsUnderFailure(start, f)
 }
 
 // WhatIfStats returns how many what-if traces were served by re-walking a
@@ -116,31 +115,30 @@ func (s *Snapshot) WhatIfStats() (retraced, reused int64) {
 // pathsUnderFailure is pathsFor under a failure: reuse the no-failure
 // result when the failure is unreachable from src in the successor graph,
 // otherwise run the pruned walk. Results are cached per (failure, src).
-func (e *destEngine) pathsUnderFailure(src string, f Failure) ([]Path, Digest) {
+func (e *destEngine) pathsUnderFailure(src string, f Failure) []Path {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := f.cacheKey() + "\x00" + src
-	if r, ok := e.failRes[key]; ok {
-		return r.paths, r.fp
+	if ps, ok := e.failRes[key]; ok {
+		return ps
 	}
 	if !e.built {
 		e.build()
 	}
 	i := e.indexOf(src)
 	var ps []Path
-	var fp Digest
 	if !e.failureReaches(i, f) {
-		ps, fp = e.pathsForLocked(src)
+		ps = e.pathsForLocked(src)
 		e.snap.whatIfReused.Add(1)
 	} else {
-		ps, fp = e.trace(i, f)
+		ps = e.trace(i, f)
 		e.snap.whatIfRetraced.Add(1)
 	}
 	if e.failRes == nil {
-		e.failRes = make(map[string]srcResult)
+		e.failRes = make(map[string][]Path)
 	}
-	e.failRes[key] = srcResult{paths: ps, fp: fp}
-	return ps, fp
+	e.failRes[key] = ps
+	return ps
 }
 
 // failureReaches reports whether the successor graph from start can
