@@ -209,10 +209,20 @@ func TestClusterFencedStaleOwnerCannotCorrupt(t *testing.T) {
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 
+	// The fault makes every lease another node holds claimable, node B's
+	// included once it has claimed, so it is disarmed as soon as B owns
+	// the job: any claim while it is armed could fence B as well.
 	faults.Arm("cluster.lease.expire", faults.Injection{Mode: faults.ModeError, Message: "lease declared expired"})
 	s2.Rescan()
-	waitState(t, ts2, st.ID, StateDone)
+	claimDeadline := time.Now().Add(30 * time.Second)
+	for getStatus(t, ts2, st.ID).Owner != "node-b" {
+		if time.Now().After(claimDeadline) {
+			t.Fatal("node B never claimed the job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	faults.Reset()
+	waitState(t, ts2, st.ID, StateDone)
 	want := fetchResult(t, ts2, st.ID)
 
 	// Wake the stale owner. Every durable write it attempts from here is

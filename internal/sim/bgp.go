@@ -343,14 +343,15 @@ func adjInEqual(a, b map[string]map[string]map[netip.Prefix]bgpRoute) bool {
 }
 
 // offerRoutes converts router r's converged BGP bests into FIB routes for
-// the prefixes whose columns b rebuilds, offering each at r's device
-// index di.
-func (st *bgpState) offerRoutes(n *Net, igp *ospfState, r string, di int32, b *colBuild) {
+// the prefixes whose columns b builds, offering each at r's device index
+// di. The iBGP next hops are filtered by r's OSPF inbound lists in the
+// filter view filters.
+func (st *bgpState) offerRoutes(igp *ospfState, filters *filterState, r string, di int32, b *colBuild) {
 	best := st.best[r]
 	if len(best) == 0 {
 		return
 	}
-	ins := n.ospfInFilters(n.Cfg.Device(r))
+	ins := filters.ospfIn[r]
 	for p, rt := range best {
 		if rt.peer == "" {
 			// Locally originated: connected/IGP covers forwarding.
@@ -358,7 +359,7 @@ func (st *bgpState) offerRoutes(n *Net, igp *ospfState, r string, di int32, b *c
 		}
 		pi := b.tab.index(p)
 		if !b.dirty[pi] {
-			continue // carried forward from the previous simulation
+			continue // not built by this assembly
 		}
 		if !rt.fromIBGP {
 			// eBGP: forward directly to the session peer.
@@ -387,7 +388,7 @@ func (st *bgpState) offerRoutes(n *Net, igp *ospfState, r string, di int32, b *c
 		// rejects that branch (the SFE "rejected" clause) while the real
 		// branches stay installed.
 		var nhs []NextHop
-		for _, nh := range igp.nextHopsToRouter(n, r, rt.peer) {
+		for _, nh := range igp.nextHopsToRouter(r, rt.peer) {
 			if ins[nh.Iface].denies(p) {
 				continue
 			}

@@ -66,9 +66,18 @@ type adjacency struct {
 // addressed interface, then the first resolvable static, that yields next
 // hops). Administrative distance 0 and 1 outrank every protocol, so these
 // entries are final wherever they exist.
+//
+// dest marks the destinations: the prefixes containing a host address
+// (host LANs and the prefixes covering them, which resolve every
+// longest-prefix match toward a host), BGP network statements (their
+// RIB-presence check reads the OSPF row) and discard statics' prefixes
+// (the external equivalence classes). They are the only columns the
+// pipeline reads, and the only ones a simulation computes eagerly; every
+// other column is computed on first read (see Snapshot.column).
 type prefixTable struct {
 	prefixes []netip.Prefix
 	idx      map[netip.Prefix]int32
+	dest     []bool
 	devices  []string
 	devIdx   map[string]int32
 	// fixed[pi] lists the connected or static route of every device that
@@ -115,12 +124,13 @@ func (t *prefixTable) index(p netip.Prefix) int32 {
 }
 
 // buildPrefixTable interns the Net's prefixes and devices, records each
-// prefix's origins and derives every device's connected and static
-// routes.
+// prefix's origins and destinations and derives every device's connected
+// and static routes.
 func (n *Net) buildPrefixTable() *prefixTable {
 	names := n.Cfg.Names()
 	t := &prefixTable{devices: names, devIdx: make(map[string]int32, len(names))}
 	origins := make(map[netip.Prefix][]origin)
+	dests := make(map[netip.Prefix]bool)
 	for i, name := range names {
 		t.devIdx[name] = int32(i)
 		d := n.Cfg.Device(name)
@@ -142,21 +152,43 @@ func (n *Net) buildPrefixTable() *prefixTable {
 			if _, ok := origins[s.Prefix]; !ok {
 				origins[s.Prefix] = nil // a table prefix; its candidates are in fixed
 			}
+			if s.Discard {
+				dests[s.Prefix] = true
+			}
 		}
 		if d.BGP != nil {
 			id := routerID(d)
 			for _, p := range d.BGP.Networks {
 				static := slices.ContainsFunc(d.Statics, func(s config.StaticRoute) bool { return s.Prefix == p })
 				origins[p] = append(origins[p], origin{dev: name, ospf: -1, eigrp: -1, bgpID: id, static: static})
+				dests[p] = true
 			}
 		}
 	}
 	t.prefixes = sortedPrefixes(origins)
 	t.idx = make(map[netip.Prefix]int32, len(t.prefixes))
 	t.origins = make([][]origin, len(t.prefixes))
+	t.dest = make([]bool, len(t.prefixes))
+	var bits []int // the table's prefix lengths, each once
 	for pi, p := range t.prefixes {
 		t.idx[p] = int32(pi)
 		t.origins[pi] = origins[p]
+		t.dest[pi] = dests[p]
+		if !slices.Contains(bits, p.Bits()) {
+			bits = append(bits, p.Bits())
+		}
+	}
+	for _, h := range n.Cfg.Hosts() {
+		for _, ifc := range n.Cfg.Device(h).Interfaces {
+			if !ifc.Addr.IsValid() {
+				continue
+			}
+			for _, b := range bits {
+				if pi, ok := t.idx[netip.PrefixFrom(ifc.Addr.Addr(), b).Masked()]; ok {
+					t.dest[pi] = true
+				}
+			}
+		}
 	}
 	t.fixed = make([][]devRoute, len(t.prefixes))
 	for i, name := range names {

@@ -292,9 +292,9 @@ func (s *Snapshot) lpmColumns(pfx netip.Prefix, addr netip.Addr) [][]*Route {
 	}
 	sort.SliceStable(pis, func(a, b int) bool { return tab.prefixes[pis[a]].Bits() > tab.prefixes[pis[b]].Bits() })
 	cols := make([][]*Route, 1, len(pis)+1)
-	cols[0] = s.cols[tab.index(pfx)]
+	cols[0] = s.column(tab.index(pfx))
 	for _, pi := range pis {
-		cols = append(cols, s.cols[pi])
+		cols = append(cols, s.column(int32(pi)))
 	}
 	return cols
 }

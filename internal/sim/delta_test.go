@@ -338,8 +338,10 @@ func TestDeltaMatchesFreshSimulation(t *testing.T) {
 }
 
 // TestDeltaCarriesCleanPrefixesForward pins that the delta path is taken:
-// with nothing invalidated every route column is the previous one, and
-// one exact deny rebuilds exactly that prefix's column and OSPF row.
+// with nothing invalidated every destination column is the previous one,
+// and one exact deny rebuilds exactly that prefix's column and OSPF row.
+// The other columns are each Snapshot's own, computed on read, so they
+// are compared by value.
 func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	cfg, err := netgen.ByID("D") // Bics: OSPF only
 	if err != nil {
@@ -362,6 +364,12 @@ func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	}
 	again := SimulateNet(view)
 	for pi, col := range first.cols {
+		if !first.tab.dest[pi] {
+			if !sameRouteValues(again.column(int32(pi)), first.column(int32(pi))) {
+				t.Fatalf("%v: on-read column differs although nothing was invalidated", first.tab.prefixes[pi])
+			}
+			continue
+		}
 		if !sameColumn(again.cols[pi], col) {
 			t.Fatalf("%v: column rebuilt although nothing was invalidated", first.tab.prefixes[pi])
 		}
@@ -380,12 +388,21 @@ func TestDeltaCarriesCleanPrefixesForward(t *testing.T) {
 	view.InvalidateFilters()
 	denied := SimulateNet(view)
 	for pi, p := range denied.tab.prefixes {
+		if !denied.tab.dest[pi] {
+			if !sameRouteValues(denied.column(int32(pi)), again.column(int32(pi))) {
+				t.Fatalf("on-read column %v changed after a deny of %v", p, pfx)
+			}
+			continue
+		}
 		if shared := sameColumn(denied.cols[pi], again.cols[pi]); shared == (p == pfx) {
 			t.Fatalf("column %v: shared = %v after a deny of %v", p, shared, pfx)
 		}
 	}
 	for _, pi := range view.core.ospf.prefixes {
 		p := view.core.tab.prefixes[pi]
+		if !view.core.tab.dest[pi] {
+			continue // no remembered row; its column compared by value above
+		}
 		if same := &view.last.ospfRows[pi][0] == &rows[pi][0]; same == (p == pfx) {
 			t.Fatalf("row %v: reused = %v after a deny of %v", p, same, pfx)
 		}
@@ -609,8 +626,10 @@ func TestSeededBuildMatchesFresh(t *testing.T) {
 
 // TestSeededBuildCarriesUnchangedColumns pins what the seeded build
 // carries on FatTree08: its twins make exactly the twin LANs and
-// 0.0.0.0/0 (each twin host's static default) dirty, every other column
-// keeps the previous Snapshot's routes, and the SPF DistMatrix is shared.
+// 0.0.0.0/0 (each twin host's static default) dirty, every other
+// destination column keeps the previous Snapshot's routes, every
+// on-read column equals the previous Snapshot's by value, and the SPF
+// DistMatrix is shared.
 func TestSeededBuildCarriesUnchangedColumns(t *testing.T) {
 	cfg, err := netgen.FatTree08()
 	if err != nil {
@@ -637,12 +656,19 @@ func TestSeededBuildCarriesUnchangedColumns(t *testing.T) {
 	if snap.OSPFDist != prev.OSPFDist {
 		t.Fatal("the SPF DistMatrix was not shared")
 	}
-	for _, p := range snap.tab.prefixes {
+	for pi, p := range snap.tab.prefixes {
 		if slices.Contains(want, p) {
 			continue
 		}
 		for _, dev := range snap.Devices() {
-			if got, old := snap.Route(dev, p), prev.Route(dev, p); got != old {
+			got, old := snap.Route(dev, p), prev.Route(dev, p)
+			if !snap.tab.dest[pi] {
+				if !sameRouteValues([]*Route{got}, []*Route{old}) {
+					t.Fatalf("%s's on-read route to %v differs: %v, was %v", dev, p, got, old)
+				}
+				continue
+			}
+			if got != old {
 				t.Fatalf("%s's route to %v was rebuilt: %v, was %v", dev, p, got, old)
 			}
 		}

@@ -182,7 +182,7 @@ func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
 func sharesColumns(a, b *Snapshot, dst string) bool {
 	same := func(x, y []*Route) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
 	pfx, ok := a.Net.HostPrefix[dst]
-	if !ok || b.Net.HostPrefix[dst] != pfx || !same(a.cols[a.tab.index(pfx)], b.cols[b.tab.index(pfx)]) {
+	if !ok || b.Net.HostPrefix[dst] != pfx || !same(a.column(a.tab.index(pfx)), b.column(b.tab.index(pfx))) {
 		return false // the common case when nothing was carried: no table scan
 	}
 	addr := hostAddr(a.Net, dst)

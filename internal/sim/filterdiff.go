@@ -14,8 +14,8 @@ import (
 // reachability only for dirty fake hosts). The Net keeps the union of the
 // diffs since its last simulation too: the next
 // SimulateNet rebuilds only the OSPF rows and route columns of the
-// prefixes that union marks, and shares every other column with the
-// previous Snapshot.
+// destinations that union marks, and shares every other destination
+// column with the previous Snapshot.
 //
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route
@@ -111,15 +111,34 @@ func (d *FilterDiff) mark(p netip.Prefix) {
 // editing a list's rules changes decisions at existing attachment points,
 // while attaching/detaching a list changes decisions without touching any
 // rule.
+//
+// It is also what OSPF and BGP route installation read their filters
+// from (ospfIn and deniedBy), never the live configurations: a Snapshot
+// keeps the view it was simulated under, so a column it computes on
+// first read sees the filters of its simulation however far Algorithm 1
+// has edited the Net's configurations since. A view is never written
+// after capture.
 type filterState struct {
 	lists  map[string]*listEval // denyCache, shared not copied
 	attach map[string]string    // attachment point → device-scoped list key
+	// ospfIn maps a router to its OSPF inbound distribute-lists by
+	// interface, compiled (a nil entry for a list the router lacks).
+	ospfIn map[string]map[string]*listEval
+	// deniedBy indexes the exact (non-ranged) lists, by id, under the
+	// masked prefixes they deny: one lookup per prefix yields the lists
+	// the OSPF candidate scan checks each link's inbound list against
+	// (see listEval.deniesMarked). nlists bounds the ids.
+	deniedBy map[netip.Prefix][]int32
+	nlists   int
 }
 
 // captureFilterState snapshots the current attachment map alongside the
-// freshly built deny cache.
+// freshly built deny cache, numbers the cache's lists and indexes them by
+// denied prefix. It runs once per deny cache, right after
+// buildDenyCache.
 func (n *Net) captureFilterState() *filterState {
-	st := &filterState{lists: n.denyCache, attach: make(map[string]string)}
+	st := &filterState{lists: n.denyCache, attach: make(map[string]string),
+		ospfIn: make(map[string]map[string]*listEval), deniedBy: make(map[netip.Prefix][]int32)}
 	add := func(dev, proto, point, list string) {
 		if list == "" {
 			return
@@ -128,11 +147,26 @@ func (n *Net) captureFilterState() *filterState {
 		// between same-named lists on different devices still diff.
 		st.attach[dev+"\x00"+proto+"\x00"+point] = dev + "\x00" + list
 	}
+	for _, ev := range n.denyCache {
+		// The cache was compiled for this view alone, so numbering its
+		// lists here touches no earlier view's.
+		ev.id = int32(st.nlists)
+		st.nlists++
+		for p, deny := range ev.exact {
+			if deny {
+				st.deniedBy[p] = append(st.deniedBy[p], ev.id)
+			}
+		}
+	}
 	for _, name := range n.Cfg.Names() {
 		d := n.Cfg.Device(name)
 		if d.OSPF != nil {
 			for iface, list := range d.OSPF.InFilters {
 				add(name, "ospf", iface, list)
+				if st.ospfIn[name] == nil {
+					st.ospfIn[name] = make(map[string]*listEval, len(d.OSPF.InFilters))
+				}
+				st.ospfIn[name][iface] = n.listOf(d, list)
 			}
 		}
 		if d.RIP != nil {

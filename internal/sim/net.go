@@ -87,7 +87,8 @@ type Net struct {
 	denyCache map[string]*listEval
 	// filterState is the last captured filter view (deny tables plus
 	// attachment points); InvalidateFilters diffs against it to report
-	// which destination prefixes a filter mutation can affect.
+	// which destination prefixes a filter mutation can affect, and the
+	// next simulation reads its filters from it.
 	filterState *filterState
 
 	// core caches the filter-independent simulation state (SPF, enabled
@@ -100,7 +101,8 @@ type Net struct {
 	// (or the columns BuildFrom carried over from its seed) and stale the
 	// union of the FilterDiffs InvalidateFilters returned since (or the
 	// prefixes BuildFrom could not carry over); the next SimulateNet
-	// recomputes only what stale marks (all of it when last is nil).
+	// recomputes only the destinations stale marks (all of them when
+	// last is nil).
 	// Guarded by lastMu, so simulations of one Net may run concurrently.
 	lastMu sync.Mutex
 	last   *simResult
@@ -108,10 +110,12 @@ type Net struct {
 }
 
 // simResult is what a simulation leaves for the next one on the same Net:
-// the OSPF rows and the route columns, both by prefix-table index. Both
-// are shared with the Snapshot that produced them, with later delta
-// results and with the Nets BuildFrom seeds from that Snapshot, so
-// neither is ever written after it is published.
+// the OSPF rows and the route columns of the destinations, both by
+// prefix-table index (nil for every other prefix; those columns are each
+// Snapshot's own, computed on read). Both are shared with the Snapshot
+// that produced them, with later delta results and with the Nets
+// BuildFrom seeds from that Snapshot, so neither is ever written after
+// it is published.
 type simResult struct {
 	ospfRows [][]*Route
 	cols     [][]*Route
@@ -141,6 +145,9 @@ func (n *Net) remember(r *simResult) {
 // silently even though the rendered config enforces them — fall back to a
 // first-match scan of the full rule set.
 type listEval struct {
+	// id numbers the list densely within its deny cache, for the filter
+	// view's deny index (see captureFilterState).
+	id int32
 	// exact holds the first-match decision per rule prefix; valid only
 	// when ranged is false.
 	exact map[netip.Prefix]bool
@@ -179,6 +186,21 @@ func (ev *listEval) denies(p netip.Prefix) bool {
 		}
 	}
 	return false
+}
+
+// deniesMarked is denies for a caller that has looked p up in its filter
+// view's deny index and set marked[id] for every exact list the index
+// says denies p: an exact list answers with one slice index, with no
+// masking or hashing, and only a ranged list scans its rules.
+func (ev *listEval) deniesMarked(p netip.Prefix, marked []bool) bool {
+	switch {
+	case ev == nil:
+		return false
+	case ev.ranged:
+		return ev.denies(p)
+	default:
+		return marked[ev.id]
+	}
 }
 
 // buildDenyCache precomputes the deny decision tables for every prefix

@@ -141,17 +141,24 @@ func pathSetKey(ps []Path) string {
 }
 
 // setRoute replaces device dev's route to prefix p (nil deletes it): the
-// one way tests corrupt FIBs. Columns are shared with the Net's remembered
-// result and its other Snapshots, so the write goes into clones of the
-// column set and of p's column; only s sees it.
+// one way tests corrupt FIBs. Destination columns are shared with the
+// Net's remembered result and its other Snapshots, so the write goes into
+// clones of the column set and of p's column; only s sees it. Any other
+// column is written the same way into s's on-read columns, computed
+// first.
 func setRoute(s *Snapshot, dev string, p netip.Prefix, rt *Route) {
 	di, ok := s.tab.devIdx[dev]
 	if !ok {
 		panic("setRoute: unknown device " + dev)
 	}
 	pi := s.tab.index(p)
-	cols := slices.Clone(s.cols)
+	set := &s.cols
+	if !s.tab.dest[pi] {
+		s.otherColumns()
+		set = &s.others
+	}
+	cols := slices.Clone(*set)
 	cols[pi] = slices.Clone(cols[pi])
 	cols[pi][di] = rt
-	s.cols = cols
+	*set = cols
 }

@@ -75,12 +75,33 @@ func (st *ospfState) route(r string, p netip.Prefix) *Route {
 // ospfScratch is the per-prefix working memory of runOSPF's candidate
 // selection, pooled so that each in-flight prefix shard reuses one set
 // instead of allocating (and growing) its own: the dense distance row,
-// the next-hop staging area, and the per-speaker route slots.
+// the next-hop staging area, the per-speaker route slots, and the marks
+// of the exact lists that deny the prefix, by list id (all false between
+// prefixes).
 type ospfScratch struct {
-	dist  []int32
-	nhs   []NextHop
-	slot  []int32
-	spans []nhSpan
+	dist   []int32
+	nhs    []NextHop
+	slot   []int32
+	spans  []nhSpan
+	denied []bool
+}
+
+// markDenied sets the marks of the lists ids names, growing the mark
+// slice to nlists; unmarkDenied clears them again.
+func (sc *ospfScratch) markDenied(nlists int, ids []int32) []bool {
+	if len(sc.denied) < nlists {
+		sc.denied = make([]bool, nlists)
+	}
+	for _, id := range ids {
+		sc.denied[id] = true
+	}
+	return sc.denied
+}
+
+func (sc *ospfScratch) unmarkDenied(ids []int32) {
+	for _, id := range ids {
+		sc.denied[id] = false
+	}
 }
 
 // nhSpan is one route's next hops within the staging area.
@@ -117,9 +138,11 @@ type linkCand struct {
 
 // runOSPF computes the OSPF route rows: one per advertised prefix, one
 // slot per speaker. The link-state view (interned cost graph, SPF
-// distance rows) comes from the Net's cached core; only the rows of the
-// prefixes dirty marks are recomputed, the others are last's (every
-// prefix is dirty when last is nil).
+// distance rows) comes from the Net's cached core and the inbound filters
+// from the filter view filters; only the rows of the prefixes dirty marks
+// are computed, the others are last's (nil when last is). It reads
+// nothing else of the Net, so a Snapshot computes its on-read rows with
+// it long after the Net's configurations have moved on.
 //
 // The computation is destination-sharded: for each recomputed prefix, a
 // pooled dense []int32 row of per-router distances to the prefix is
@@ -134,17 +157,18 @@ type linkCand struct {
 // only; the link-state database itself is unaffected, matching IOS
 // semantics and the "edge is rejected" clause of the paper's SFE
 // conditions for link-state protocols.
-func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
+func (n *Net) runOSPF(workers int, filters *filterState, last *simResult, dirty []bool) *ospfState {
 	core := n.coreFor(workers)
 	oc := core.ospf
 	st := &ospfState{dist: oc.dist, t: oc.t, fwd: oc.fwd, tab: core.tab, dev: oc.dev, rows: make([][]*Route, len(core.tab.prefixes))}
 	var todo []int32
 	for _, pi := range oc.prefixes {
-		if !dirty[pi] {
+		switch {
+		case dirty[pi]:
+			todo = append(todo, pi)
+		case last != nil:
 			st.rows[pi] = last.ospfRows[pi]
-			continue
 		}
-		todo = append(todo, pi)
 	}
 	if len(todo) == 0 {
 		return st
@@ -158,8 +182,7 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 	cands := make([][]linkCand, S)
 	forEachIndex(workers, S, func(si int) {
 		r := oc.speakers[si]
-		d := n.Cfg.Device(r)
-		ins := n.ospfInFilters(d)
+		ins := filters.ospfIn[r]
 		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
 		for _, a := range core.ospfLinks[r] {
 			nb, _ := oc.t.id(a.nb)
@@ -173,6 +196,8 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 		pi := todo[k]
 		p := core.tab.prefixes[pi]
 		sc := getOSPFScratch(oc.t.size())
+		denied := filters.deniedBy[p.Masked()]
+		marked := sc.markDenied(filters.nlists, denied)
 		dp := sc.dist
 		for _, a := range oc.advs[pi] {
 			arow := oc.dist.rowTo(a.router)
@@ -207,9 +232,10 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 				}
 				// A candidate costlier than the best so far loses whether
 				// or not a filter denies it, so the filter is consulted
-				// only for the ones that could win or tie.
+				// only for the ones that could win or tie, against the
+				// marks of the lists the index says deny p.
 				cand := satAdd32(lc.cost, dn)
-				if (best != -1 && cand > best) || lc.in.denies(p) {
+				if (best != -1 && cand > best) || lc.in.deniesMarked(p, marked) {
 					continue
 				}
 				switch {
@@ -237,32 +263,18 @@ func (n *Net) runOSPF(workers int, last *simResult, dirty []bool) *ospfState {
 				out[si] = &arena[j]
 			}
 		}
+		sc.unmarkDenied(denied)
 		ospfScratchPool.Put(sc)
 		st.rows[pi] = out
 	})
 	return st
 }
 
-// ospfInFilters resolves a device's OSPF inbound distribute-lists to
-// their compiled evaluations, by interface; nil when it has none. The
-// OSPF candidate scan and iBGP next-hop resolution resolve once per run
-// and router, not once per candidate.
-func (n *Net) ospfInFilters(d *config.Device) map[string]*listEval {
-	if d.OSPF == nil || len(d.OSPF.InFilters) == 0 {
-		return nil
-	}
-	out := make(map[string]*listEval, len(d.OSPF.InFilters))
-	for iface, list := range d.OSPF.InFilters {
-		out[iface] = n.listOf(d, list)
-	}
-	return out
-}
-
 // nextHopsToRouter returns the OSPF first hops from router r toward router
 // dst (used for BGP recursive next-hop resolution). Filters do not apply:
 // resolution targets router-level reachability, not host prefixes. The
 // scan walks dst's dense distance row plus r's CSR arcs — no map lookups.
-func (st *ospfState) nextHopsToRouter(n *Net, r, dst string) []NextHop {
+func (st *ospfState) nextHopsToRouter(r, dst string) []NextHop {
 	if r == dst || st.t == nil {
 		return nil
 	}

@@ -142,10 +142,22 @@ func (f FIB) Prefixes() []netip.Prefix {
 // data-plane engines) rather than by hashing into a per-device table; FIB
 // assembles a per-device view on demand.
 //
-// Columns, and the Routes they hold, are read-only and shared by the
-// Snapshots of one Net: a later simulation of the same Net is a delta over
-// this one and reuses every column of a prefix no FilterDiff marked since,
-// so an edit made through one Snapshot would surface in the next.
+// Only the destination columns are computed by the simulation: the host
+// LANs and the prefixes covering a host address, BGP network statements
+// and discard statics' prefixes. Every other column (link subnets,
+// loopbacks, non-discard statics) is computed once, on the first Route,
+// FIB or NextHopRouters read that needs one, from what the simulation
+// captured: the filter view it ran under and the converged RIP, EIGRP
+// and BGP routes. Reads are safe from concurrent goroutines, and a
+// Snapshot answers the same however its Net's configurations or filters
+// have changed since it was simulated.
+//
+// Destination columns, and the Routes they hold, are read-only and shared
+// by the Snapshots of one Net and of the Nets BuildFrom seeds from it: a
+// later simulation is a delta over this one and reuses every destination
+// column of a prefix no FilterDiff marked since, so an edit made through
+// one Snapshot would surface in the next. The on-read columns are the
+// Snapshot's own.
 type Snapshot struct {
 	Net *Net
 	// OSPFDist is the SPF distance view between routers of the same OSPF
@@ -156,14 +168,22 @@ type Snapshot struct {
 	OSPFDist *DistMatrix
 
 	// tab is the Net's prefix and device table; cols[pi][di] is device
-	// di's route to prefix tab.prefixes[pi], nil when it has none.
+	// di's route to prefix tab.prefixes[pi], nil when it has none, for
+	// the destinations (tab.dest); cols[pi] is nil for every other
+	// prefix. Read columns through column.
 	tab  *prefixTable
 	cols [][]*Route
-	// ospfRows are the OSPF rows the columns were assembled from, and
-	// filters the filter view they were simulated under: with cols, what
-	// BuildFrom carries into a new Net.
+	// ospfRows are the OSPF rows the destination columns were assembled
+	// from, and filters the filter view they were simulated under: with
+	// cols, what BuildFrom carries into a new Net.
 	ospfRows [][]*Route
 	filters  *filterState
+	// converged holds the simulation's RIP, EIGRP and BGP results until
+	// otherColumns, run once under otherOnce, has built the non-destination
+	// columns into others and dropped it.
+	otherOnce sync.Once
+	converged *converged
+	others    [][]*Route
 	// workers is the Parallelism the Snapshot was simulated with; it also
 	// sizes the worker pool for destination-sharded data-plane extraction.
 	workers int
@@ -181,34 +201,39 @@ type Snapshot struct {
 
 // Route returns device dev's FIB entry for exactly prefix p — no
 // longest-prefix match — or nil when it has none. The Route is shared:
-// read-only.
+// read-only. A destination's entry is an index into its column; the
+// first read of any other prefix computes the Snapshot's non-destination
+// columns (see Snapshot).
 func (s *Snapshot) Route(dev string, p netip.Prefix) *Route {
 	di, okd := s.tab.devIdx[dev]
 	pi, okp := s.tab.idx[p]
 	if !okd || !okp {
 		return nil
 	}
-	return s.cols[pi][di]
+	return s.column(pi)[di]
 }
 
 // FIB returns a device's FIB as a map, assembled from the columns on each
-// call (nil when the device is absent). The Routes are shared: read-only.
+// call (nil when the device is absent): every prefix, so the first FIB
+// call computes the Snapshot's non-destination columns (see Snapshot).
+// The Routes are shared: read-only.
 func (s *Snapshot) FIB(dev string) FIB {
 	di, ok := s.tab.devIdx[dev]
 	if !ok {
 		return nil
 	}
 	fib := make(FIB)
-	for pi, col := range s.cols {
-		if rt := col[di]; rt != nil {
-			fib[s.tab.prefixes[pi]] = rt
+	for pi, p := range s.tab.prefixes {
+		if rt := s.column(int32(pi))[di]; rt != nil {
+			fib[p] = rt
 		}
 	}
 	return fib
 }
 
 // NextHopRouters returns the next-hop device names for dest prefix p at
-// router r, in sorted order; nil when the router has no route.
+// router r, in sorted order; nil when the router has no route. It reads
+// the entry through Route.
 func (s *Snapshot) NextHopRouters(r string, p netip.Prefix) []string {
 	rt := s.Route(r, p)
 	if rt == nil {

@@ -8,13 +8,19 @@ import (
 )
 
 // BuildFrom is Build seeded with a previous simulation. It derives cfg's
-// view exactly as Build does, then installs prev's route columns, OSPF
-// rows and SPF DistMatrix as the new Net's last simulation for every
-// prefix whose inputs are unchanged, and returns the prefixes it could
-// not carry over. The Net's first SimulateNet is then an ordinary delta
-// over those prefixes, and a destination the returned diff does not
-// affect is routed exactly as in prev. A nil prev is Build, with an
-// All() diff.
+// view exactly as Build does, then installs prev's destination columns,
+// their OSPF rows and the SPF DistMatrix as the new Net's last simulation
+// for every destination whose inputs are unchanged, and returns the
+// prefixes whose inputs changed. The Net's first SimulateNet is then an
+// ordinary delta over those prefixes, and a destination the returned diff
+// does not affect is routed exactly as in prev. A nil prev is Build, with
+// an All() diff.
+//
+// Only columns prev computed as destinations are carried; its on-read
+// columns are its own. A destination of the new table that was not one
+// of prev's has no column to carry, so the diff marks it although its
+// inputs are unchanged. Non-destination columns are never carried: the
+// new Net's Snapshots compute them on read.
 //
 // prev must come from SimulateNet. Its Net's configurations may have
 // changed in any way since, in place included (the pipeline adds twin
@@ -67,12 +73,15 @@ func BuildFrom(cfg *config.Network, prev *Snapshot) (*Net, *FilterDiff, error) {
 	dirty := &FilterDiff{}
 	for pi, p := range t.prefixes {
 		pj, ok := pt.idx[p]
-		if !ok || filters.Marks(p) || !slices.Equal(t.origins[pi], pt.origins[pj]) || !sameFixed(t, pt, t.fixed[pi], pt.fixed[pj]) {
+		if !ok || filters.Marks(p) || !slices.Equal(t.origins[pi], pt.origins[pj]) || !sameFixed(t, pt, t.fixed[pi], pt.fixed[pj]) ||
+			t.dest[pi] && !pt.dest[pj] {
 			dirty.mark(p.Masked())
 			continue
 		}
-		last.cols[pi] = carry(prev.cols[pj])
-		last.ospfRows[pi] = prev.ospfRows[pj]
+		if t.dest[pi] {
+			last.cols[pi] = carry(prev.cols[pj])
+			last.ospfRows[pi] = prev.ospfRows[pj]
+		}
 	}
 	n.last, n.stale = last, dirty
 	return n, dirty, nil
