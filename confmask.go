@@ -527,17 +527,23 @@ func Routes(configs map[string]string, router string) ([]RouteInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	return routeTable(snap, router), nil
+}
+
+// routeTable is Routes over an already simulated network.
+func routeTable(snap *sim.Snapshot, router string) []RouteInfo {
 	fib := snap.FIB(router)
 	var out []RouteInfo
 	for _, p := range fib.Prefixes() {
 		rt := fib[p]
 		info := RouteInfo{Prefix: p.String(), Source: rt.Source.String(), Metric: rt.Metric}
 		for _, nh := range rt.NextHops {
-			info.NextHops = append(info.NextHops, fmt.Sprintf("%s (%s)", nh.Device, nh.Iface))
+			dev, iface := snap.NextHopNames(nh)
+			info.NextHops = append(info.NextHops, fmt.Sprintf("%s (%s)", dev, iface))
 		}
 		out = append(out, info)
 	}
-	return out, nil
+	return out
 }
 
 // ExampleNetworks lists the built-in evaluation networks (the paper's

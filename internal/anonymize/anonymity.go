@@ -108,7 +108,8 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 				if rng.Float64() >= p {
 					continue
 				}
-				if addFilter(out, snap.Net, r, nh, rt.Prefix, rt.Source) {
+				nb, iface := snap.NextHopNames(nh)
+				if addFilter(out, snap.Net, r, nb, iface, rt.Prefix, rt.Source) {
 					k := recKey{router: r, pfx: rt.Prefix}
 					recs[k] = append(recs[k], rec{nh: nh, src: rt.Source})
 					kept++
@@ -181,7 +182,8 @@ func routeAnonymity(ctx context.Context, out *config.Network, pool *netaddr.Pool
 				rs := recs[k]
 				left := rs[:0]
 				for _, rc := range rs {
-					if removeFilterDeny(out, snap.Net, r, rc.nh, k.pfx, rc.src) {
+					nb, iface := snap.NextHopNames(rc.nh)
+					if removeFilterDeny(out, snap.Net, r, nb, iface, k.pfx, rc.src) {
 						removedAny = true
 						kept--
 						continue

@@ -303,11 +303,13 @@ func RunContext(ctx context.Context, cfg *config.Network, opts Options) (*config
 		// Step 2.1: route equivalence.
 		t0 = time.Now()
 		a0 := totalAlloc()
+		// The stage clock starts before the strategy builds its view,
+		// as every other stage's does before its first piece of work.
+		opts.progress("equivalence", 1)
 		switch opts.Strategy {
 		case ConfMask:
 			equiv, rep.EquivIterations, rep.EquivFilters, err = routeEquivalence(ctx, out, base, opts)
 		case Strawman1:
-			opts.progress("equivalence", 1)
 			equiv, rep.EquivIterations, rep.EquivFilters, err = strawman1(out, base, opts)
 		case Strawman2:
 			equiv, rep.EquivIterations, rep.EquivFilters, err = strawman2(ctx, out, base, opts)

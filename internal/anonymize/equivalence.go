@@ -12,26 +12,28 @@ import (
 )
 
 // addFilter installs a distribute-list deny rule for prefix p at router r
-// against the next hop nh, choosing the attachment point the way the
-// paper's implementation does (§6): eBGP-learned routes get a deny on the
-// corresponding `neighbor ... distribute-list ... in`, and IGP-learned (or
-// iBGP-resolved) routes get a deny on the `distribute-list prefix ... in
-// <interface>` of the next-hop interface. It reports whether a new deny
-// rule was added (false when the rule already existed or no attachment
-// point exists).
-func addFilter(cfg *config.Network, view *sim.Net, r string, nh sim.NextHop, p netip.Prefix, src sim.Source) bool {
+// against the next hop to device nb over r's interface iface, choosing
+// the attachment point the way the paper's implementation does (§6):
+// eBGP-learned routes get a deny on the corresponding `neighbor ...
+// distribute-list ... in`, and IGP-learned (or iBGP-resolved) routes get
+// a deny on the `distribute-list prefix ... in <interface>` of the
+// next-hop interface. It reports whether a new deny rule was added (false
+// when the rule already existed or no attachment point exists). Callers
+// name the next hop (sim.Snapshot.NextHopNames).
+func addFilter(cfg *config.Network, view *sim.Net, r, nb, iface string, p netip.Prefix, src sim.Source) bool {
 	d := cfg.Device(r)
 	if d == nil {
 		return false
 	}
 	if src == sim.SrcEBGP {
-		return addNeighborFilter(cfg, view, d, nh, p)
+		return addNeighborFilter(cfg, view, d, nb, iface, p)
 	}
-	return addInterfaceFilter(d, nh.Iface, p, src)
+	return addInterfaceFilter(d, iface, p, src)
 }
 
-// addNeighborFilter denies p on the BGP session riding the link behind nh.
-func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nh sim.NextHop, p netip.Prefix) bool {
+// addNeighborFilter denies p on the BGP session riding the link to nb
+// behind iface.
+func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nb, iface string, p netip.Prefix) bool {
 	if d.BGP == nil {
 		return false
 	}
@@ -41,7 +43,7 @@ func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nh 
 	for _, l := range view.LinksOf(d.Hostname) {
 		local, _ := l.Local(d.Hostname)
 		other, _ := l.Other(d.Hostname)
-		if local.Iface == nh.Iface && other.Device == nh.Device {
+		if local.Iface == iface && other.Device == nb {
 			peerAddr = other.Addr
 			break
 		}
@@ -49,14 +51,14 @@ func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nh 
 	if !peerAddr.IsValid() {
 		return false
 	}
-	for _, nb := range d.BGP.Neighbors {
-		if nb.Addr != peerAddr {
+	for _, n := range d.BGP.Neighbors {
+		if n.Addr != peerAddr {
 			continue
 		}
-		name := nb.DistributeListIn
+		name := n.DistributeListIn
 		if name == "" {
 			name = "CMF-BGP-" + sanitize(peerAddr.String())
-			nb.DistributeListIn = name
+			n.DistributeListIn = name
 		}
 		pl := d.EnsurePrefixList(name)
 		if pl.Denies(p) {
@@ -133,8 +135,9 @@ func addInterfaceFilter(d *config.Device, iface string, p netip.Prefix, src sim.
 }
 
 // removeFilterDeny removes a deny rule previously added for p at router r
-// against nh; used by Algorithm 2's reachability repair.
-func removeFilterDeny(cfg *config.Network, view *sim.Net, r string, nh sim.NextHop, p netip.Prefix, src sim.Source) bool {
+// against the next hop to nb over iface; used by Algorithm 2's
+// reachability repair.
+func removeFilterDeny(cfg *config.Network, view *sim.Net, r, nb, iface string, p netip.Prefix, src sim.Source) bool {
 	d := cfg.Device(r)
 	if d == nil {
 		return false
@@ -143,12 +146,12 @@ func removeFilterDeny(cfg *config.Network, view *sim.Net, r string, nh sim.NextH
 		for _, l := range view.LinksOf(r) {
 			local, _ := l.Local(r)
 			other, _ := l.Other(r)
-			if local.Iface != nh.Iface || other.Device != nh.Device {
+			if local.Iface != iface || other.Device != nb {
 				continue
 			}
-			for _, nb := range d.BGP.Neighbors {
-				if nb.Addr == other.Addr && nb.DistributeListIn != "" {
-					if pl := d.PrefixList(nb.DistributeListIn); pl != nil {
+			for _, n := range d.BGP.Neighbors {
+				if n.Addr == other.Addr && n.DistributeListIn != "" {
+					if pl := d.PrefixList(n.DistributeListIn); pl != nil {
 						return pl.RemoveDeny(p)
 					}
 				}
@@ -157,7 +160,7 @@ func removeFilterDeny(cfg *config.Network, view *sim.Net, r string, nh sim.NextH
 		return false
 	}
 	filters, _ := igpInFilters(d, src, false)
-	if name, ok := filters[nh.Iface]; ok {
+	if name, ok := filters[iface]; ok {
 		if pl := d.PrefixList(name); pl != nil {
 			return pl.RemoveDeny(p)
 		}
@@ -213,8 +216,8 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 		if err := ctx.Err(); err != nil {
 			return nil, iter - 1, filters, err
 		}
-		opts.progress("equivalence", iter)
 		if iter > 1 {
+			opts.progress("equivalence", iter)
 			diff = view.InvalidateFilters()
 		}
 		snap := sim.SimulateNetOpts(view, opts.simOpts())
@@ -233,6 +236,7 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 		// join.
 		routers := out.Routers()
 		counts := make([]int, len(routers))
+		toBase := sim.MapDevices(snap, base.snap)
 		sim.ForEachIndex(opts.simOpts().Workers(), len(routers), func(ri int) {
 			r := routers[ri]
 			if base.cfg.Device(r) == nil {
@@ -249,13 +253,14 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 				}
 				orig := base.snap.Route(r, p)
 				for _, nh := range rt.NextHops {
-					if leadsTo(orig, nh.Device) {
+					if leadsTo(orig, toBase, nh.Dev) {
 						continue // an original next hop
 					}
-					if base.topo.HasEdge(r, nh.Device) {
+					nb, iface := snap.NextHopNames(nh)
+					if base.topo.HasEdge(r, nb) {
 						continue // (r, nxt) ∈ E: real link, fixed upstream
 					}
-					if addFilter(out, snap.Net, r, nh, p, rt.Source) {
+					if addFilter(out, snap.Net, r, nb, iface, p, rt.Source) {
 						counts[ri]++
 					}
 				}
@@ -277,11 +282,13 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 			// must match the original exactly (the route-equivalence
 			// requirement extended to §9 Internet destinations). Compare
 			// the sorted slices element-wise — joined strings would let a
-			// name containing the separator alias a different set.
+			// name containing the separator alias a different set — and
+			// uncompacted on both sides: SFE keeps each of two parallel
+			// links to one neighbour, so both must survive.
 			for _, r := range base.cfg.Routers() {
 				for _, p := range base.external {
 					got := snap.NextHopRouters(r, p)
-					want := slices.Compact(base.snap.NextHopRouters(r, p))
+					want := base.snap.NextHopRouters(r, p)
 					if !slices.Equal(got, want) {
 						return nil, iter, filters, fmt.Errorf("external destination %v diverged on %s: %q vs %q", p, r, got, want)
 					}
@@ -294,13 +301,14 @@ func routeEquivalence(ctx context.Context, out *config.Network, base *baseline, 
 }
 
 // leadsTo reports whether some next hop of rt (nil: no route) is the
-// device dev.
-func leadsTo(rt *sim.Route, dev string) bool {
-	if rt == nil {
+// device dev, which m translates into rt's device table.
+func leadsTo(rt *sim.Route, m sim.DeviceMap, dev int32) bool {
+	d, ok := m.Map(dev)
+	if rt == nil || !ok {
 		return false
 	}
 	for _, nh := range rt.NextHops {
-		if nh.Device == dev {
+		if nh.Dev == d {
 			return true
 		}
 	}

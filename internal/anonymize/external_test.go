@@ -2,6 +2,7 @@ package anonymize
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestExternalDestinationsSimulate(t *testing.T) {
 	}
 	// The origin's entry is the discard anchor.
 	a1 := snap.FIB("a1")[ecs[0]]
-	if a1 == nil || a1.Source != sim.SrcStatic || a1.NextHops[0].Device != sim.DiscardDevice {
+	if a1 == nil || a1.Source != sim.SrcStatic || a1.NextHops[0].Dev != sim.DiscardDev {
 		t.Fatalf("origin anchor wrong: %+v", a1)
 	}
 }
@@ -110,5 +111,66 @@ func TestAddExternalDestinationErrors(t *testing.T) {
 	}
 	if _, err := netbuild.AddExternalDestination(cfg, pool, "missing"); err == nil {
 		t.Fatal("unknown router accepted")
+	}
+}
+
+// parallelExternalNet is externalNet with a second b1–b2 link, so that a
+// router's route toward an external destination can ride two parallel
+// links to one neighbour.
+func parallelExternalNet(t *testing.T) (*config.Network, []netip.Prefix) {
+	t.Helper()
+	cfg := bgpNet(t)
+	pool := netbuild.PoolFor(cfg)
+	if _, err := netbuild.AddP2PLink(cfg, pool, "b1", "b2", netbuild.LinkOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	var ecs []netip.Prefix
+	for _, r := range []string{"a1", "c2"} {
+		p, err := netbuild.AddExternalDestination(cfg, pool, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecs = append(ecs, p)
+	}
+	return cfg, ecs
+}
+
+// TestExternalDestinationParallelLinks anonymizes a network in which
+// routers reach external destinations over two parallel links to one
+// neighbour. SFE keeps both links in use, so Algorithm 1's external check
+// must compare the next-hop lists uncompacted on both sides: every
+// router's list, parallel entries included, must survive.
+func TestExternalDestinationParallelLinks(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg, ecs := parallelExternalNet(t)
+		so, err := sim.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel := false
+		for _, r := range cfg.Routers() {
+			for _, p := range ecs {
+				nhs := so.NextHopRouters(r, p)
+				parallel = parallel || len(slices.Compact(slices.Clone(nhs))) < len(nhs)
+			}
+		}
+		if !parallel {
+			t.Fatal("no route toward an external destination rides parallel links")
+		}
+		opts := DefaultOptions()
+		opts.KR = 2
+		opts.Seed = seed
+		anon, _ := checkPipeline(t, cfg, opts)
+		sa, err := sim.Simulate(anon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cfg.Routers() {
+			for _, p := range ecs {
+				if want, got := so.NextHopRouters(r, p), sa.NextHopRouters(r, p); !slices.Equal(want, got) {
+					t.Fatalf("seed %d: EC %v next hops changed on %s: %q → %q", seed, p, r, want, got)
+				}
+			}
+		}
 	}
 }

@@ -16,12 +16,11 @@ func TestAddFilterOSPFInterface(t *testing.T) {
 	p := netip.MustParsePrefix("10.99.0.0/24")
 	l := view.LinkBetween("r1", "r2")
 	local, _ := l.Local("r1")
-	nh := sim.NextHop{Device: "r2", Iface: local.Iface}
 
-	if !addFilter(cfg, view, "r1", nh, p, sim.SrcOSPF) {
+	if !addFilter(cfg, view, "r1", "r2", local.Iface, p, sim.SrcOSPF) {
 		t.Fatal("first addFilter returned false")
 	}
-	if addFilter(cfg, view, "r1", nh, p, sim.SrcOSPF) {
+	if addFilter(cfg, view, "r1", "r2", local.Iface, p, sim.SrcOSPF) {
 		t.Fatal("duplicate addFilter returned true")
 	}
 	d := cfg.Device("r1")
@@ -30,17 +29,17 @@ func TestAddFilterOSPFInterface(t *testing.T) {
 		t.Fatalf("filter not installed: %v", d.OSPF.InFilters)
 	}
 	// iBGP-resolved routes use the same interface attachment.
-	if addFilter(cfg, view, "r1", nh, p, sim.SrcIBGP) {
+	if addFilter(cfg, view, "r1", "r2", local.Iface, p, sim.SrcIBGP) {
 		t.Fatal("iBGP path should hit the same existing deny")
 	}
 
-	if !removeFilterDeny(cfg, view, "r1", nh, p, sim.SrcOSPF) {
+	if !removeFilterDeny(cfg, view, "r1", "r2", local.Iface, p, sim.SrcOSPF) {
 		t.Fatal("removeFilterDeny failed")
 	}
 	if d.PrefixList(name).Denies(p) {
 		t.Fatal("deny survived removal")
 	}
-	if removeFilterDeny(cfg, view, "r1", nh, p, sim.SrcOSPF) {
+	if removeFilterDeny(cfg, view, "r1", "r2", local.Iface, p, sim.SrcOSPF) {
 		t.Fatal("double removal returned true")
 	}
 }
@@ -54,8 +53,7 @@ func TestAddFilterBGPNeighbor(t *testing.T) {
 	p := netip.MustParsePrefix("10.99.0.0/24")
 	l := view.LinkBetween("a2", "b1") // eBGP link
 	local, _ := l.Local("a2")
-	nh := sim.NextHop{Device: "b1", Iface: local.Iface}
-	if !addFilter(cfg, view, "a2", nh, p, sim.SrcEBGP) {
+	if !addFilter(cfg, view, "a2", "b1", local.Iface, p, sim.SrcEBGP) {
 		t.Fatal("eBGP addFilter failed")
 	}
 	found := false
@@ -69,7 +67,7 @@ func TestAddFilterBGPNeighbor(t *testing.T) {
 	if !found {
 		t.Fatal("neighbor distribute-list not installed")
 	}
-	if !removeFilterDeny(cfg, view, "a2", nh, p, sim.SrcEBGP) {
+	if !removeFilterDeny(cfg, view, "a2", "b1", local.Iface, p, sim.SrcEBGP) {
 		t.Fatal("eBGP removeFilterDeny failed")
 	}
 }
@@ -81,11 +79,11 @@ func TestAddFilterUnknownTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := netip.MustParsePrefix("10.99.0.0/24")
-	if addFilter(cfg, view, "missing", sim.NextHop{}, p, sim.SrcOSPF) {
+	if addFilter(cfg, view, "missing", "", "", p, sim.SrcOSPF) {
 		t.Fatal("filter on unknown router accepted")
 	}
 	// eBGP filter when the device has no BGP process.
-	if addFilter(cfg, view, "r1", sim.NextHop{Device: "r2", Iface: "x"}, p, sim.SrcEBGP) {
+	if addFilter(cfg, view, "r1", "r2", "x", p, sim.SrcEBGP) {
 		t.Fatal("eBGP filter on non-BGP device accepted")
 	}
 }

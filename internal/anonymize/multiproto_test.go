@@ -56,11 +56,11 @@ func TestAddInterfaceFilterSourceKeyed(t *testing.T) {
 	}
 	cfg := config.NewNetwork()
 	cfg.Add(d)
-	if !removeFilterDeny(cfg, nil, "r", sim.NextHop{Iface: "Ethernet0"}, p, sim.SrcRIP) {
+	if !removeFilterDeny(cfg, nil, "r", "", "Ethernet0", p, sim.SrcRIP) {
 		t.Fatal("RIP deny not removed")
 	}
 	// The EIGRP deny on the same interface must survive a RIP removal.
-	if removeFilterDeny(cfg, nil, "r", sim.NextHop{Iface: "Ethernet0"}, p, sim.SrcRIP) {
+	if removeFilterDeny(cfg, nil, "r", "", "Ethernet0", p, sim.SrcRIP) {
 		t.Fatal("second removal reported success")
 	}
 	if pl := d.PrefixList(d.EIGRP.InFilters["Ethernet0"]); pl == nil || !pl.Denies(p) {

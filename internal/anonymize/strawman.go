@@ -110,8 +110,8 @@ func strawman2(ctx context.Context, out *config.Network, base *baseline, opts Op
 		if err := ctx.Err(); err != nil {
 			return nil, iter - 1, filters, err
 		}
-		opts.progress("equivalence", iter)
 		if iter > 1 {
+			opts.progress("equivalence", iter)
 			// Each fixing round adds filters for a handful of destination
 			// prefixes, so the next simulation is a delta over those.
 			view.InvalidateFilters()
@@ -159,14 +159,15 @@ func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim
 				continue // real link
 			}
 			rt := snap.Route(a, dstPfx)
-			if rt == nil {
+			bi, ok := snap.DeviceIndex(b)
+			if rt == nil || !ok {
 				continue
 			}
 			for _, nh := range rt.NextHops {
-				if nh.Device != b {
+				if nh.Dev != bi {
 					continue
 				}
-				if addFilter(out, snap.Net, a, nh, dstPfx, rt.Source) {
+				if _, iface := snap.NextHopNames(nh); addFilter(out, snap.Net, a, b, iface, dstPfx, rt.Source) {
 					return true
 				}
 			}

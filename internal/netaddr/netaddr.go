@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Pool allocates IPv4 prefixes that do not overlap any reserved prefix.
@@ -26,10 +27,25 @@ import (
 // overlaps a reserved or previously allocated prefix. Allocation order is
 // deterministic, which keeps the whole anonymization pipeline reproducible
 // under a fixed seed.
+//
+// The reserved IPv4 prefixes are indexed, so an overlap check costs one
+// lookup per reserved prefix length and one binary search, however many
+// prefixes are reserved: two prefixes overlap exactly when one contains
+// the other's first address. The first lookups ask whether a reserved
+// prefix contains the candidate's first address; the search, whether the
+// candidate contains a reserved prefix's first address.
 type Pool struct {
-	reserved []netip.Prefix
-	supers   []netip.Prefix // candidate supernets to carve from
-	cursor   map[int]netip.Addr
+	// byLen holds the masked first address of every reserved IPv4
+	// prefix, by length; lens lists the lengths present, ascending.
+	byLen map[int]map[uint32]bool
+	lens  []int
+	// starts holds the same first addresses, sorted, duplicates kept.
+	starts []uint32
+	// other holds the reserved prefixes that are not IPv4, which no IPv4
+	// candidate overlaps; they are checked by scan.
+	other  []netip.Prefix
+	supers []netip.Prefix // candidate supernets to carve from
+	cursor map[int]netip.Addr
 }
 
 // DefaultSupernets is the candidate space new prefixes are carved from:
@@ -50,29 +66,91 @@ func NewPool(used []netip.Prefix, supernets []netip.Prefix) *Pool {
 		supernets = DefaultSupernets()
 	}
 	p := &Pool{
+		byLen:  make(map[int]map[uint32]bool),
 		supers: supernets,
 		cursor: make(map[int]netip.Addr, len(supernets)),
 	}
 	for i, s := range supernets {
 		p.cursor[i] = s.Addr()
 	}
-	p.reserved = append(p.reserved, used...)
+	for _, pfx := range used {
+		if pfx.IsValid() && pfx.Addr().Is4() {
+			p.starts = append(p.starts, p.index(pfx))
+		} else if pfx.IsValid() {
+			p.other = append(p.other, pfx)
+		}
+	}
+	slices.Sort(p.starts)
 	return p
 }
 
 // Reserve marks pfx as in use so it will never be returned by Alloc.
 func (p *Pool) Reserve(pfx netip.Prefix) {
-	p.reserved = append(p.reserved, pfx)
+	switch {
+	case !pfx.IsValid():
+		// An invalid prefix overlaps nothing.
+	case pfx.Addr().Is4():
+		start := p.index(pfx)
+		i, _ := slices.BinarySearch(p.starts, start)
+		p.starts = slices.Insert(p.starts, i, start)
+	default:
+		p.other = append(p.other, pfx)
+	}
+}
+
+// index records an IPv4 prefix in byLen and lens and returns its masked
+// first address, for the caller to place in starts.
+func (p *Pool) index(pfx netip.Prefix) uint32 {
+	bits := pfx.Bits()
+	start := addrBits(pfx.Masked().Addr())
+	set := p.byLen[bits]
+	if set == nil {
+		set = make(map[uint32]bool)
+		p.byLen[bits] = set
+		i, _ := slices.BinarySearch(p.lens, bits)
+		p.lens = slices.Insert(p.lens, i, bits)
+	}
+	set[start] = true
+	return start
 }
 
 // Overlaps reports whether pfx overlaps any reserved prefix.
 func (p *Pool) Overlaps(pfx netip.Prefix) bool {
-	for _, r := range p.reserved {
-		if r.Overlaps(pfx) {
+	if !pfx.IsValid() {
+		return false
+	}
+	if !pfx.Addr().Is4() {
+		return slices.ContainsFunc(p.other, pfx.Overlaps)
+	}
+	bits := pfx.Bits()
+	first := addrBits(pfx.Masked().Addr())
+	// A reserved prefix no longer than pfx that contains its first address.
+	for _, b := range p.lens {
+		if b > bits {
+			break
+		}
+		if p.byLen[b][first&prefixMask(b)] {
 			return true
 		}
 	}
-	return false
+	// A reserved prefix whose first address pfx contains.
+	last := first | ^prefixMask(bits)
+	i, _ := slices.BinarySearch(p.starts, first)
+	return i < len(p.starts) && p.starts[i] <= last
+}
+
+// addrBits returns an IPv4 address as a number.
+func addrBits(a netip.Addr) uint32 {
+	a4 := a.As4()
+	return uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
+}
+
+// prefixMask returns the netmask of an IPv4 prefix length.
+func prefixMask(bits int) uint32 {
+	if bits == 0 {
+		return 0
+	}
+	return ^uint32(0) << (32 - bits)
 }
 
 // Alloc carves and reserves a fresh prefix of the given length. It returns
@@ -92,7 +170,7 @@ func (p *Pool) Alloc(bits int) (netip.Prefix, error) {
 			cand := netip.PrefixFrom(addr, bits).Masked()
 			next, ok := nextBlock(cand)
 			if !p.Overlaps(cand) {
-				p.reserved = append(p.reserved, cand)
+				p.Reserve(cand)
 				if ok {
 					p.cursor[i] = next.Addr()
 				} else {

@@ -30,8 +30,8 @@ type Options struct {
 
 // Engine answers verification queries over a simulated snapshot. All
 // answers are served from the snapshot's per-destination path engines,
-// which derive each destination's successor graph once and cache each
-// source's walked path list, so a repeated pair is never walked again and
+// which read each destination's successor graph from the route columns
+// and cache each source's walked path list, so a repeated pair is never walked again and
 // a warmed engine answers batches in cache-lookup time.
 type Engine struct {
 	snap      *sim.Snapshot

@@ -377,7 +377,7 @@ func (st *bgpState) offerRoutes(igp *ospfState, filters *filterState, r string, 
 				Prefix:   p,
 				Source:   SrcEBGP,
 				Metric:   len(rt.asPath),
-				NextHops: []NextHop{{Device: rt.peer, Iface: iface}},
+				NextHops: []NextHop{b.tab.nextHop(rt.peer, iface)},
 			})
 			continue
 		}
@@ -389,7 +389,7 @@ func (st *bgpState) offerRoutes(igp *ospfState, filters *filterState, r string, 
 		// branches stay installed.
 		var nhs []NextHop
 		for _, nh := range igp.nextHopsToRouter(r, rt.peer) {
-			if ins[nh.Iface].denies(p) {
+			if ins[b.tab.ifaces[nh.Iface]].denies(p) {
 				continue
 			}
 			nhs = append(nhs, nh)

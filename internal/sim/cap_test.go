@@ -49,7 +49,7 @@ func rewire(t *testing.T, s *Snapshot, dst string, nhs map[string][]string) {
 		}
 		rt := &Route{Prefix: pfx, Source: SrcStatic}
 		for _, d := range next {
-			rt.NextHops = append(rt.NextHops, NextHop{Device: d})
+			rt.NextHops = append(rt.NextHops, hopTo(s, d, "eth0"))
 		}
 		setRoute(s, dev, pfx, rt)
 	}

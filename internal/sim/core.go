@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strings"
 
 	"confmask/internal/config"
 )
@@ -54,12 +55,18 @@ type adjacency struct {
 	metric int
 }
 
-// prefixTable is the two axes of a Snapshot's route columns. Prefixes are
-// interned in address order: every interface subnet, static prefix and BGP
-// network statement, which are the only places a route's prefix can come
-// from (a protocol yielding a prefix outside the table is a bug, and
-// index panics on it). Devices are the dense Cfg.Names() order the
-// data-plane engines walk in.
+// prefixTable is the two axes of a Snapshot's route columns, and the
+// names their next hops index. Prefixes are interned in address order:
+// every interface subnet, static prefix and BGP network statement, which
+// are the only places a route's prefix can come from (a protocol yielding
+// a prefix outside the table is a bug, and index panics on it). Devices
+// are the dense table the data-plane engines walk in, and ifaces every
+// interface name of every device, plus Null0: a NextHop is an index into
+// each. A fresh Build interns both in name order; a Net BuildFrom seeds
+// keeps its seed's names at their indices and appends its new ones in
+// name order, so next hops carried from the seed stay valid. devRank and
+// ifRank rank the names in name order, which is the order sortNextHops
+// sorts by, however the names were interned.
 //
 // Each prefix also keeps its filter-independent candidates: the connected
 // and static routes, chosen as a FIB install always has (the first
@@ -73,17 +80,30 @@ type adjacency struct {
 // RIB-presence check reads the OSPF row) and discard statics' prefixes
 // (the external equivalence classes). They are the only columns the
 // pipeline reads, and the only ones a simulation computes eagerly; every
-// other column is computed on first read (see Snapshot.column).
+// other column is computed on first read (see Snapshot.column). lpm
+// records, per host, the destinations its longest-prefix match reads.
 type prefixTable struct {
 	prefixes []netip.Prefix
 	idx      map[netip.Prefix]int32
 	dest     []bool
 	devices  []string
 	devIdx   map[string]int32
+	ifaces   []string
+	ifIdx    map[string]int32
+	// devRank[d] is device d's position in name order, ifRank[i]
+	// interface i's. DiscardDev has no rank: a discard route's one next
+	// hop is never sorted with another.
+	devRank []int32
+	ifRank  []int32
+	// lpm[di] is host di's longest-prefix-match chain: the index of its
+	// LAN prefix, then those of every other table prefix containing its
+	// address, longest first; nil for every other device. See
+	// destEngine.routeToward.
+	lpm [][]int32
 	// fixed[pi] lists the connected or static route of every device that
-	// has one for prefix pi, in device order.
+	// has one for prefix pi, in device-name order.
 	fixed [][]devRoute
-	// origins[pi] lists what puts prefix pi into routing, in device
+	// origins[pi] lists what puts prefix pi into routing, in device-name
 	// order; see origin.
 	origins [][]origin
 }
@@ -123,16 +143,76 @@ func (t *prefixTable) index(p netip.Prefix) int32 {
 	return pi
 }
 
-// buildPrefixTable interns the Net's prefixes and devices, records each
-// prefix's origins and destinations and derives every device's connected
-// and static routes.
+// nextHop interns the next hop toward device dev over local interface
+// iface. Both names come from the configurations the table was built
+// from, so a miss is a simulator bug.
+func (t *prefixTable) nextHop(dev, iface string) NextHop {
+	di, okd := t.devIdx[dev]
+	ii, oki := t.ifIdx[iface]
+	if !okd || !oki {
+		panic(fmt.Sprintf("sim: next hop %s (%s) outside the device or interface table", dev, iface))
+	}
+	return NextHop{Dev: di, Iface: ii}
+}
+
+// deviceName returns device dev's name, DiscardDevice for DiscardDev.
+func (t *prefixTable) deviceName(dev int32) string {
+	if dev == DiscardDev {
+		return DiscardDevice
+	}
+	return t.devices[dev]
+}
+
+// internTable returns base followed by the names it lacks, in the order
+// given, with every name's index and its rank in name order.
+func internTable(base, names []string) ([]string, map[string]int32, []int32) {
+	out := slices.Clone(base)
+	idx := make(map[string]int32, len(base)+len(names))
+	for i, name := range base {
+		idx[name] = int32(i)
+	}
+	for _, name := range names {
+		if _, ok := idx[name]; !ok {
+			idx[name] = int32(len(out))
+			out = append(out, name)
+		}
+	}
+	order := make([]int32, len(out))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(out[a], out[b]) })
+	rank := make([]int32, len(out))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	return out, idx, rank
+}
+
+// buildPrefixTable interns the Net's prefixes, devices and interface
+// names, records each prefix's origins and destinations and each host's
+// longest-prefix-match chain, and derives every device's connected and
+// static routes. A Net BuildFrom seeded extends its seed's device and
+// interface tables (see prefixTable).
 func (n *Net) buildPrefixTable() *prefixTable {
 	names := n.Cfg.Names()
-	t := &prefixTable{devices: names, devIdx: make(map[string]int32, len(names))}
+	var baseDevs, baseIfaces []string
+	if n.seedTab != nil {
+		baseDevs, baseIfaces = n.seedTab.devices, n.seedTab.ifaces
+	}
+	t := &prefixTable{}
+	t.devices, t.devIdx, t.devRank = internTable(baseDevs, names)
+	ifnames := []string{"Null0"}
+	for _, name := range names {
+		for _, ifc := range n.Cfg.Device(name).Interfaces {
+			ifnames = append(ifnames, ifc.Name)
+		}
+	}
+	sort.Strings(ifnames)
+	t.ifaces, t.ifIdx, t.ifRank = internTable(baseIfaces, slices.Compact(ifnames))
 	origins := make(map[netip.Prefix][]origin)
 	dests := make(map[netip.Prefix]bool)
-	for i, name := range names {
-		t.devIdx[name] = int32(i)
+	for _, name := range names {
 		d := n.Cfg.Device(name)
 		for _, ifc := range d.Interfaces {
 			if !ifc.Addr.IsValid() {
@@ -169,7 +249,7 @@ func (n *Net) buildPrefixTable() *prefixTable {
 	t.idx = make(map[netip.Prefix]int32, len(t.prefixes))
 	t.origins = make([][]origin, len(t.prefixes))
 	t.dest = make([]bool, len(t.prefixes))
-	var bits []int // the table's prefix lengths, each once
+	var bits []int // the table's prefix lengths, longest first, each once
 	for pi, p := range t.prefixes {
 		t.idx[p] = int32(pi)
 		t.origins[pi] = origins[p]
@@ -178,26 +258,37 @@ func (n *Net) buildPrefixTable() *prefixTable {
 			bits = append(bits, p.Bits())
 		}
 	}
+	slices.SortFunc(bits, func(a, b int) int { return b - a })
+	t.lpm = make([][]int32, len(t.devices))
 	for _, h := range n.Cfg.Hosts() {
 		for _, ifc := range n.Cfg.Device(h).Interfaces {
 			if !ifc.Addr.IsValid() {
 				continue
 			}
+			// The LAN prefix first, then the covering prefixes longest
+			// first: one per length at most, as all contain one address.
+			lan := t.idx[ifc.Addr.Masked()]
+			chain := []int32{lan}
 			for _, b := range bits {
-				if pi, ok := t.idx[netip.PrefixFrom(ifc.Addr.Addr(), b).Masked()]; ok {
-					t.dest[pi] = true
+				if pi, ok := t.idx[netip.PrefixFrom(ifc.Addr.Addr(), b).Masked()]; ok && pi != lan {
+					chain = append(chain, pi)
 				}
 			}
+			for _, pi := range chain {
+				t.dest[pi] = true
+			}
+			t.lpm[t.devIdx[h]] = chain
 		}
 	}
 	t.fixed = make([][]devRoute, len(t.prefixes))
-	for i, name := range names {
-		n.fixedRoutes(name, func(rt *Route) {
+	for _, name := range names {
+		di := t.devIdx[name]
+		n.fixedRoutes(t, name, func(rt *Route) {
 			pi := t.index(rt.Prefix)
-			if fs := t.fixed[pi]; len(fs) > 0 && fs[len(fs)-1].dev == int32(i) {
+			if fs := t.fixed[pi]; len(fs) > 0 && fs[len(fs)-1].dev == di {
 				return // the device's first candidate wins
 			}
-			t.fixed[pi] = append(t.fixed[pi], devRoute{dev: int32(i), rt: rt})
+			t.fixed[pi] = append(t.fixed[pi], devRoute{dev: di, rt: rt})
 		})
 	}
 	return t
@@ -205,8 +296,8 @@ func (n *Net) buildPrefixTable() *prefixTable {
 
 // fixedRoutes hands every connected and static route candidate of a
 // device to add: connected routes first, in interface order, then statics
-// in configuration order.
-func (n *Net) fixedRoutes(name string, add func(*Route)) {
+// in configuration order. Next hops are interned in t.
+func (n *Net) fixedRoutes(t *prefixTable, name string, add func(*Route)) {
 	d := n.Cfg.Device(name)
 	// Connected routes: one per addressed interface subnet, with the far
 	// ends of matching links as next hops.
@@ -225,10 +316,10 @@ func (n *Net) fixedRoutes(name string, add func(*Route)) {
 				continue
 			}
 			other, _ := l.Other(name)
-			nhs = append(nhs, NextHop{Device: other.Device, Iface: i.Name})
+			nhs = append(nhs, t.nextHop(other.Device, i.Name))
 		}
 		if len(nhs) > 0 {
-			add(&Route{Prefix: p, Source: SrcConnected, NextHops: sortNextHops(nhs)})
+			add(&Route{Prefix: p, Source: SrcConnected, NextHops: t.sortNextHops(nhs)})
 		}
 	}
 
@@ -238,11 +329,11 @@ func (n *Net) fixedRoutes(name string, add func(*Route)) {
 	// equivalence-class prefixes into BGP.
 	for _, s := range d.Statics {
 		if s.Discard {
-			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
+			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{{Dev: DiscardDev, Iface: t.ifIdx["Null0"]}}})
 			continue
 		}
-		if nh, ok := n.resolveDirect(name, s.NextHop); ok {
-			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{nh}})
+		if nb, iface, ok := n.resolveDirect(name, s.NextHop); ok {
+			add(&Route{Prefix: s.Prefix, Source: SrcStatic, NextHops: []NextHop{t.nextHop(nb, iface)}})
 		}
 	}
 }
@@ -326,6 +417,7 @@ func (n *Net) buildCore(workers int) *simCore {
 	}
 	c.sessions = n.discoverSessions()
 	c.tab = n.buildPrefixTable()
+	n.seedTab = nil
 	c.ospf = n.buildOSPFCore(c.tab)
 	return c
 }
@@ -369,8 +461,8 @@ func (n *Net) buildOSPFCore(tab *prefixTable) *ospfCore {
 		ib := n.Cfg.Device(l.B.Device).Interface(l.B.Iface)
 		ai, _ := c.t.id(l.A.Device)
 		bi, _ := c.t.id(l.B.Device)
-		edges = append(edges, csrEdge{from: ai, to: bi, cost: clampCost32(ia.Cost()), link: l})
-		edges = append(edges, csrEdge{from: bi, to: ai, cost: clampCost32(ib.Cost()), link: l})
+		edges = append(edges, csrEdge{from: ai, to: bi, cost: clampCost32(ia.Cost()), nh: tab.nextHop(l.B.Device, l.A.Iface)})
+		edges = append(edges, csrEdge{from: bi, to: ai, cost: clampCost32(ib.Cost()), nh: tab.nextHop(l.A.Device, l.B.Iface)})
 	}
 	c.fwd = buildCSR(c.t, edges)
 	c.dist = newDistMatrix(c.fwd.reverse())

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"net/netip"
 	"runtime"
 	"slices"
 	"sort"
@@ -31,15 +30,18 @@ import (
 //   - Reachability (DeliveredFrom). It is not a walk: one reverse traversal
 //     of the successor graph answers every source, with no cap.
 //
-// Devices are addressed by dense index (the Snapshot's shared device
-// table) rather than name, so deriving a destination's graph costs one
-// route lookup and one successor slice per device.
+// The graph is never built: its nodes are the Snapshot's device indices,
+// and a node's successors are the next hops of its longest-prefix-match
+// route (routeToward), which are device indices already, read in place.
+// Beyond the devices come the discard node, which every DiscardDev next
+// hop leads to, and the out-of-config devices a trace started from; both
+// are black holes.
 
 // nodeKind classifies a device in one destination's successor graph.
 type nodeKind int8
 
 const (
-	// transitNode forwards toward the destination via succ.
+	// transitNode forwards toward the destination over its next hops.
 	transitNode nodeKind = iota
 	// deliveredNode is the destination itself.
 	deliveredNode
@@ -48,14 +50,6 @@ const (
 	blackholeNode
 )
 
-// destNode is one device's state in a destination's successor graph.
-type destNode struct {
-	kind nodeKind
-	// succ is the ordered next-hop index list — rt.NextHops order, the
-	// order the walker branches in.
-	succ []int32
-}
-
 // DeliveredFrom reports, for each source, whether dst is reachable from it
 // in dst's successor graph: whether some forwarding path from the source
 // is delivered. No path cap or depth bound applies; those limit only the
@@ -63,8 +57,8 @@ type destNode struct {
 // One reverse walk from the destination answers every source, and a
 // source the network does not configure answers false. Unknown
 // destinations yield all-false, like TraceFrom's nil result. The call
-// reuses dst's engine when a path listing already built it, and
-// otherwise builds a transient one, as PairDigestsFor does: one call
+// reuses dst's engine when a path listing already created it, and
+// otherwise uses a transient one, as PairDigestsFor does: one call
 // answers every source, so the Snapshot does not keep an engine per
 // destination only to answer once.
 func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
@@ -85,23 +79,24 @@ func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	}
 	reach := e.reaching()
 	for i, src := range srcs {
-		if j, ok := e.idxOf[src]; ok {
+		if j, ok := s.tab.devIdx[src]; ok {
 			out[i] = reach[j]
 		}
 	}
 	return out
 }
 
-// reaching marks every node from which the destination is reachable: a
-// walk from the delivered node over the reversed succ edges, held in CSR
-// form (node x's predecessors are pred[start[x]:start[x+1]]). Callers
-// hold mu, with the engine built.
+// reaching marks every device (and the discard node) from which the
+// destination is reachable: a walk from the delivered node over the
+// reversed next-hop edges, held in CSR form (node x's predecessors are
+// pred[start[x]:start[x+1]]). Callers hold mu, with the engine built.
 func (e *destEngine) reaching() []bool {
-	n := len(e.nodes)
+	n := int(e.ndev) + 1
 	start := make([]int32, n+1)
-	for i := range e.nodes {
-		for _, s := range e.nodes[i].succ {
-			start[s+1]++
+	for i := int32(0); i < e.ndev; i++ {
+		_, nhs := e.hops(i)
+		for _, nh := range nhs {
+			start[e.node(nh)+1]++
 		}
 	}
 	for x := 0; x < n; x++ {
@@ -109,16 +104,17 @@ func (e *destEngine) reaching() []bool {
 	}
 	pred := make([]int32, start[n])
 	fill := slices.Clone(start[:n])
-	for i := range e.nodes {
-		for _, s := range e.nodes[i].succ {
-			pred[fill[s]] = int32(i)
+	for i := int32(0); i < e.ndev; i++ {
+		_, nhs := e.hops(i)
+		for _, nh := range nhs {
+			s := e.node(nh)
+			pred[fill[s]] = i
 			fill[s]++
 		}
 	}
 	reach := make([]bool, n)
-	d := e.idxOf[e.dst]
-	reach[d] = true
-	stack := []int32{d}
+	reach[e.dstIdx] = true
+	stack := []int32{e.dstIdx}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -132,34 +128,31 @@ func (e *destEngine) reaching() []bool {
 	return reach
 }
 
-// destEngine holds one destination's successor graph and finished
-// per-source results. All lazy state is guarded by mu so concurrent
-// TraceFrom calls on the same destination are safe; distinct destinations
-// never share an engine.
+// destEngine reads one destination's successor graph from the
+// Snapshot's columns and holds its finished per-source results. All lazy
+// state is guarded by mu so concurrent TraceFrom calls on the same
+// destination are safe; distinct destinations never share an engine.
 type destEngine struct {
-	snap    *Snapshot
-	dst     string
-	dstPfx  netip.Prefix
-	dstAddr netip.Addr
+	snap *Snapshot
+	dst  string
 
 	mu    sync.Mutex
 	built bool
 	// dstCol is the destination prefix's route column and covers the
-	// columns of the other table prefixes containing dstAddr, longest
-	// first: together they resolve each device's longest-prefix match
-	// (see routeToward).
+	// columns of the other table prefixes containing the destination's
+	// address, longest first: together they resolve each device's
+	// longest-prefix match (see routeToward).
 	dstCol []*Route
 	covers [][]*Route
-	// nameAt/idxOf map between device names and node indices. idxOf is
-	// the Snapshot's shared (read-only) table covering configured
-	// devices; out-of-config devices reached as successors or trace
-	// starts (e.g. the Null0 discard device) get engine-local indices in
-	// extra and append to nameAt/nodes.
-	nameAt []string
-	idxOf  map[string]int32
-	extra  map[string]int32
-	nodes  []destNode
-	w      walker
+	// Nodes 0 … ndev-1 are the Snapshot's devices, dstIdx among them;
+	// node ndev is the discard node; the nodes after it are the
+	// out-of-config devices traces started from, named by extra and
+	// indexed by extraIdx.
+	ndev     int32
+	dstIdx   int32
+	extra    []string
+	extraIdx map[string]int32
+	w        walker
 	// bySrc caches each source's canonically sorted paths.
 	bySrc map[string][]Path
 	// failRes caches finished what-if traces per (failure, src); see
@@ -168,8 +161,11 @@ type destEngine struct {
 }
 
 // Devices returns every configured device name in the Snapshot's dense
-// device-table order. The slice is shared with the data-plane engines:
-// callers must treat it as read-only.
+// device-table order, the order NextHop.Dev indexes: name order for a
+// Net from Build, lineage order for one BuildFrom seeded (the seed's
+// devices first, at their indices, then the new ones in name order). The
+// slice is shared with the data-plane engines: callers must treat it as
+// read-only.
 func (s *Snapshot) Devices() []string { return s.tab.devices }
 
 // HasDevice reports whether name is a configured device of the network.
@@ -182,9 +178,8 @@ func (s *Snapshot) HasDevice(name string) bool {
 func (s *Snapshot) Hosts() []string { return s.Net.Cfg.Hosts() }
 
 // engineFor returns the Snapshot's cached engine for dst, creating it on
-// first use; nil when dst is not a known host. The engine's graph is
-// derived lazily on the first trace, so creating engines is cheap and the
-// graph is built on the worker that owns the destination.
+// first use; nil when dst is not a known host. The engine reads its
+// columns lazily, on the first trace, so creating engines is cheap.
 func (s *Snapshot) engineFor(dst string) *destEngine {
 	s.destMu.Lock()
 	defer s.destMu.Unlock()
@@ -193,26 +188,23 @@ func (s *Snapshot) engineFor(dst string) *destEngine {
 	}
 	e, ok := s.destEngines[dst]
 	if !ok {
-		if pfx, known := s.Net.HostPrefix[dst]; known {
-			e = &destEngine{snap: s, dst: dst, dstPfx: pfx, dstAddr: hostAddr(s.Net, dst)}
-		}
+		e = s.transientEngineFor(dst)
 		s.destEngines[dst] = e // nil for unknown destinations, cached too
 	}
 	return e
 }
 
-// transientEngineFor builds an engine for dst without registering it in
+// transientEngineFor creates an engine for dst without registering it in
 // the Snapshot's cache: PairDigestsFor and DiffForwarding create one
 // engine per destination and drop it as soon as that destination is
-// done, so its successor graph is reclaimed instead of accumulating one
+// done, so its walk buffers are reclaimed instead of accumulating one
 // retained engine per host. Returns nil when dst is not a known host, like
 // engineFor.
 func (s *Snapshot) transientEngineFor(dst string) *destEngine {
-	pfx, known := s.Net.HostPrefix[dst]
-	if !known {
+	if _, known := s.Net.HostPrefix[dst]; !known {
 		return nil
 	}
-	return &destEngine{snap: s, dst: dst, dstPfx: pfx, dstAddr: hostAddr(s.Net, dst)}
+	return &destEngine{snap: s, dst: dst}
 }
 
 // traceWorkers resolves the worker-pool size for destination-sharded
@@ -278,25 +270,13 @@ func (e *destEngine) digestFor(src string) Digest {
 	return w.digest()
 }
 
-// lpmColumns returns the columns that resolve each device's
-// longest-prefix match toward address addr on the host prefix pfx:
-// pfx's own, then those of every other table prefix containing addr,
-// longest first (table order among equal lengths). See routeToward.
-func (s *Snapshot) lpmColumns(pfx netip.Prefix, addr netip.Addr) [][]*Route {
-	tab := s.tab
-	var pis []int
-	for pi, p := range tab.prefixes {
-		if p != pfx && p.Contains(addr) {
-			pis = append(pis, pi)
-		}
+// lpmChain returns the table indices of host dst's longest-prefix-match
+// chain (see prefixTable.lpm); nil when dst is not a known host.
+func (s *Snapshot) lpmChain(dst string) []int32 {
+	if _, known := s.Net.HostPrefix[dst]; !known {
+		return nil
 	}
-	sort.SliceStable(pis, func(a, b int) bool { return tab.prefixes[pis[a]].Bits() > tab.prefixes[pis[b]].Bits() })
-	cols := make([][]*Route, 1, len(pis)+1)
-	cols[0] = s.column(tab.index(pfx))
-	for _, pi := range pis {
-		cols = append(cols, s.column(int32(pi)))
-	}
-	return cols
+	return s.tab.lpm[s.tab.devIdx[dst]]
 }
 
 // routeToward returns device i's longest-prefix-match route toward the
@@ -316,10 +296,14 @@ func (e *destEngine) routeToward(i int32) *Route {
 	return nil
 }
 
-// classify derives a configured device's node kind and successor names.
-func (e *destEngine) classify(i int32) (nodeKind, []NextHop) {
-	if e.nameAt[i] == e.dst {
+// hops returns node i's kind and, for a transit node, the next hops it
+// forwards on: its routeToward route's, read in place.
+func (e *destEngine) hops(i int32) (nodeKind, []NextHop) {
+	switch {
+	case i == e.dstIdx:
 		return deliveredNode, nil
+	case i >= e.ndev:
+		return blackholeNode, nil
 	}
 	rt := e.routeToward(i)
 	if rt == nil || len(rt.NextHops) == 0 {
@@ -328,52 +312,64 @@ func (e *destEngine) classify(i int32) (nodeKind, []NextHop) {
 	return transitNode, rt.NextHops
 }
 
-// indexOf returns (allocating on demand) the node index for a device,
-// including devices outside the configured set — the walker treats those
-// as black holes: they have no routes. Callers hold mu; any held
-// *destNode pointer is invalid afterwards.
+// node returns the node a next hop leads to.
+func (e *destEngine) node(nh NextHop) int32 {
+	if nh.Dev == DiscardDev {
+		return e.ndev
+	}
+	return nh.Dev
+}
+
+// name returns node i's device name.
+func (e *destEngine) name(i int32) string {
+	switch {
+	case i < e.ndev:
+		return e.snap.tab.devices[i]
+	case i == e.ndev:
+		return DiscardDevice
+	default:
+		return e.extra[i-e.ndev-1]
+	}
+}
+
+// size returns the number of nodes.
+func (e *destEngine) size() int { return int(e.ndev) + 1 + len(e.extra) }
+
+// indexOf returns the node of a trace's start device, registering a
+// device outside the configured set as a new node, which the walker
+// treats as a black hole: it has no routes. Callers hold mu, with the
+// engine built.
 func (e *destEngine) indexOf(dev string) int32 {
-	if i, ok := e.idxOf[dev]; ok {
+	if i, ok := e.snap.tab.devIdx[dev]; ok {
 		return i
 	}
-	if i, ok := e.extra[dev]; ok {
+	if dev == DiscardDevice {
+		return e.ndev
+	}
+	if i, ok := e.extraIdx[dev]; ok {
 		return i
 	}
-	i := int32(len(e.nodes))
-	e.nodes = append(e.nodes, destNode{kind: blackholeNode})
-	e.nameAt = append(e.nameAt, dev)
-	if e.extra == nil {
-		e.extra = make(map[string]int32)
+	i := int32(e.size())
+	e.extra = append(e.extra, dev)
+	if e.extraIdx == nil {
+		e.extraIdx = make(map[string]int32)
 	}
-	e.extra[dev] = i
+	e.extraIdx[dev] = i
 	return i
 }
 
-// build derives the successor graph over every configured device. Callers
-// hold mu.
+// build resolves the destination's node and the columns routeToward
+// reads. Callers hold mu.
 func (e *destEngine) build() {
 	e.built = true
-	names := e.snap.tab.devices
-	e.idxOf = e.snap.tab.devIdx
-	cols := e.snap.lpmColumns(e.dstPfx, e.dstAddr)
-	e.dstCol, e.covers = cols[0], cols[1:]
-	e.nameAt = append(make([]string, 0, len(names)+1), names...)
-	e.nodes = make([]destNode, len(names), len(names)+1)
-	nhLists := make([][]NextHop, len(names))
-	for i := range names {
-		e.nodes[i].kind, nhLists[i] = e.classify(int32(i))
-	}
-	for i, nhs := range nhLists {
-		if len(nhs) == 0 {
-			continue
-		}
-		succ := make([]int32, len(nhs))
-		for k, nh := range nhs {
-			// indexOf appends out-of-config successors (the Null0
-			// discard device) as terminal black holes.
-			succ[k] = e.indexOf(nh.Device)
-		}
-		e.nodes[i].succ = succ
+	tab := e.snap.tab
+	e.ndev = int32(len(tab.devices))
+	e.dstIdx = tab.devIdx[e.dst]
+	chain := tab.lpm[e.dstIdx]
+	e.dstCol = e.snap.column(chain[0])
+	e.covers = make([][]*Route, len(chain)-1)
+	for k, pi := range chain[1:] {
+		e.covers[k] = e.snap.column(pi)
 	}
 }
 
@@ -402,8 +398,8 @@ type walker struct {
 // output stays valid until the next walk. It is the engine's one copy of
 // the forwarding semantics:
 //
-//   - successors are explored depth-first in next-hop (succ) order, minus
-//     the transitions f prunes;
+//   - successors are explored depth-first in next-hop order, minus the
+//     transitions f prunes;
 //   - revisiting a node on the current walk, or exceeding maxTraceDepth
 //     hops, emits Looped;
 //   - a node with no route, or whose every successor f prunes, emits
@@ -415,13 +411,13 @@ func (e *destEngine) walk(start int32, f Failure) *walker {
 	w := &e.w
 	w.e, w.f = e, f
 	w.stack, w.hops, w.paths = w.stack[:0], w.hops[:0], w.paths[:0]
-	if f.Node != "" && e.nameAt[start] == f.Node {
+	if f.Node != "" && e.name(start) == f.Node {
 		w.stack = append(w.stack, start)
 		w.emit(BlackHoled)
 		return w
 	}
-	if len(w.onStack) < len(e.nodes) {
-		w.onStack = make([]bool, len(e.nodes))
+	if len(w.onStack) < e.size() {
+		w.onStack = make([]bool, e.size())
 	}
 	w.visit(start)
 	return w
@@ -433,19 +429,20 @@ func (w *walker) visit(cur int32) {
 	}
 	e := w.e
 	w.stack = append(w.stack, cur)
-	n := &e.nodes[cur]
+	kind, nhs := e.hops(cur)
 	switch {
-	case n.kind == deliveredNode:
+	case kind == deliveredNode:
 		w.emit(Delivered)
 	case w.onStack[cur] || len(w.stack) > maxTraceDepth:
 		w.emit(Looped)
-	case n.kind == blackholeNode:
+	case kind == blackholeNode:
 		w.emit(BlackHoled)
 	default:
 		w.onStack[cur] = true
 		live := false
-		for _, s := range n.succ {
-			if !w.f.IsZero() && w.f.prunes(e.nameAt[cur], e.nameAt[s]) {
+		for _, nh := range nhs {
+			s := e.node(nh)
+			if !w.f.IsZero() && w.f.prunes(e.name(cur), e.name(s)) {
 				continue
 			}
 			live = true
@@ -470,12 +467,11 @@ func (w *walker) emit(st PathStatus) {
 // keys ("<status>:<h1>><h2>>…", see Path.Key), the order sortPathsByKey
 // gives Paths, without building a key.
 func (w *walker) sort() {
-	names := w.e.nameAt
 	slices.SortFunc(w.paths, func(a, b walkedPath) int {
 		if c := strings.Compare(a.st.String(), b.st.String()); c != 0 {
 			return c
 		}
-		return cmpJoined(names, w.hops[a.start:a.end], w.hops[b.start:b.end])
+		return cmpJoined(w.e, w.hops[a.start:a.end], w.hops[b.start:b.end])
 	})
 }
 
@@ -483,7 +479,7 @@ func (w *walker) sort() {
 // y, as byte strings. Where one name is a proper prefix of the other, the
 // shorter one's key goes on with the separator or ends there, so "r1>…"
 // sorts after "r10>…" although "r1" sorts before "r10".
-func cmpJoined(names []string, x, y []int32) int {
+func cmpJoined(e *destEngine, x, y []int32) int {
 	next := func(hops []int32, k int) int { // the byte after hop k's name
 		if k+1 < len(hops) {
 			return '>'
@@ -491,7 +487,7 @@ func cmpJoined(names []string, x, y []int32) int {
 		return -1 // the key ends
 	}
 	for k := 0; k < len(x) && k < len(y); k++ {
-		a, b := names[x[k]], names[y[k]]
+		a, b := e.name(x[k]), e.name(y[k])
 		if a == b {
 			continue
 		}
@@ -510,16 +506,16 @@ func cmpJoined(names []string, x, y []int32) int {
 		}
 		// The longer name holds a '>' right there: compare the rest
 		// as the strings it stands for.
-		return strings.Compare(joinHops(names, x[k:]), joinHops(names, y[k:]))
+		return strings.Compare(joinHops(e, x[k:]), joinHops(e, y[k:]))
 	}
 	return cmp.Compare(len(x), len(y))
 }
 
 // joinHops returns the names of hops joined by ">".
-func joinHops(names []string, hops []int32) string {
+func joinHops(e *destEngine, hops []int32) string {
 	parts := make([]string, len(hops))
 	for i, h := range hops {
-		parts[i] = names[h]
+		parts[i] = e.name(h)
 	}
 	return strings.Join(parts, ">")
 }
@@ -532,7 +528,7 @@ func (w *walker) result() []Path {
 	}
 	names := make([]string, len(w.hops))
 	for i, h := range w.hops {
-		names[i] = w.e.nameAt[h]
+		names[i] = w.e.name(h)
 	}
 	out := make([]Path, len(w.paths))
 	for i, p := range w.paths {
@@ -556,7 +552,7 @@ func (w *walker) digest() Digest {
 			if k > 0 {
 				buf = append(buf, '>')
 			}
-			buf = append(buf, w.e.nameAt[h]...)
+			buf = append(buf, w.e.name(h)...)
 		}
 	}
 	w.key = buf

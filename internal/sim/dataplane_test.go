@@ -211,15 +211,15 @@ func TestDataPlaneEngineLoopsAndBlackHoles(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // forwarding loop (possibly self-loop)
 				tgt := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{hopTo(snap, tgt, "eth0")}})
 			case 1: // ECMP loop: two rewired branches
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: snap.tab.sortNextHops([]NextHop{hopTo(snap, t1, "eth0"), hopTo(snap, t2, "Null0")})})
 			case 2: // black hole: no route at all
 				setRoute(snap, r, pfx, nil)
 			case 3: // discard next hop
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{hopTo(snap, DiscardDevice, "Null0")}})
 			}
 		}
 		assertDataPlaneMatchesNaive(t, snap, hosts)

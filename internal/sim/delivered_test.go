@@ -42,15 +42,15 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				tgt := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{hopTo(snap, tgt, "eth0")}})
 			case 1:
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: snap.tab.sortNextHops([]NextHop{hopTo(snap, t1, "eth0"), hopTo(snap, t2, "Null0")})})
 			case 2:
 				setRoute(snap, r, pfx, nil)
 			case 3:
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{hopTo(snap, DiscardDevice, "Null0")}})
 			}
 		}
 		devs := cfg.Names()
@@ -86,12 +86,12 @@ func TestDeliveredFromMatchesTrace(t *testing.T) {
 		// A source the network does not configure answers false and
 		// leaves the engine's node table as it was.
 		e := snap.engineFor(hosts[0])
-		nodes := len(e.nodes)
+		nodes := e.size()
 		if got := snap.DeliveredFrom(hosts[0], []string{"no-such-device"}); got[0] {
 			t.Fatal("unknown source reported delivered")
 		}
-		if len(e.nodes) != nodes {
-			t.Fatalf("unknown source grew the node table from %d to %d", nodes, len(e.nodes))
+		if e.size() != nodes {
+			t.Fatalf("unknown source grew the node table from %d to %d", nodes, e.size())
 		}
 	}
 }

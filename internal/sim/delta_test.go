@@ -624,6 +624,41 @@ func TestSeededBuildMatchesFresh(t *testing.T) {
 	t.Logf("columns carried over in %d twin and %d fake-link trials of %d each", carried["twins"], carried["link"], len(nets))
 }
 
+// TestSeededBuildWithoutSeedDevice drops one of the seed's hosts and adds
+// twins: the new configuration cannot extend the seed's device table, so
+// BuildFrom builds it in name order and marks every prefix, and its
+// simulation equals a fresh one.
+func TestSeededBuildWithoutSeedDevice(t *testing.T) {
+	for _, id := range []string{"A", "G"} {
+		spec, err := netgen.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := SimulateNetOpts(view, Options{Parallelism: 2})
+		addTwins(t, cfg, view, 2)
+		delete(cfg.Devices, cfg.Hosts()[len(cfg.Hosts())-1])
+		seeded, diff, err := BuildFrom(cfg, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := SimulateNetOpts(seeded, Options{Parallelism: 2})
+		if !diff.All() || !slices.IsSorted(snap.Devices()) {
+			t.Fatalf("%s: a seed device is gone, yet BuildFrom carried columns (all dirty: %v) or extended the seed's table", id, diff.All())
+		}
+		if fibFingerprint(snap) != freshFingerprint(t, cfg) {
+			t.Fatalf("%s: seeded simulation differs from fresh", id)
+		}
+	}
+}
+
 // TestSeededBuildCarriesUnchangedColumns pins what the seeded build
 // carries on FatTree08: its twins make exactly the twin LANs and
 // 0.0.0.0/0 (each twin host's static default) dirty, every other

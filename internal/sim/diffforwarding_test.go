@@ -22,7 +22,7 @@ func assertDiffForwarding(t *testing.T, a, b *Snapshot, hosts []string) []Pair {
 
 // sameSuccessorsToward runs sameSuccessors on fresh engines toward dst.
 func sameSuccessorsToward(a, b *Snapshot, dst string, hosts []string) bool {
-	return sameSuccessors(a.transientEngineFor(dst), b.transientEngineFor(dst), hosts)
+	return sameSuccessors(a.transientEngineFor(dst), b.transientEngineFor(dst), hosts, MapDevices(a, b))
 }
 
 // TestDiffForwardingMatchesDiffPairs pins DiffForwarding to the traced
@@ -119,5 +119,70 @@ func TestDiffForwardingSuccessorOrder(t *testing.T) {
 		if !slices.Contains(d, Pair{Src: "hs", Dst: "hd"}) {
 			t.Fatalf("%s vs %s: reordered successors went unreported: %v", late.name, early.name, d)
 		}
+	}
+}
+
+// TestDiffForwardingCrossTable compares Snapshots whose device tables
+// differ in order: a seeded Net's, which extends its seed's with twin
+// hosts appended (added through netbuild.AddHostLAN, as the pipeline
+// does), against a fresh Build of the same configuration, whose table is
+// in name order. DiffForwarding translates one table into the other, in
+// either direction. No pair may differ, and after one route on a host's
+// path is deleted on one side it must agree with tracedDiff and report
+// that pair.
+func TestDiffForwardingCrossTable(t *testing.T) {
+	for _, id := range []string{"A", "C", "G"} {
+		t.Run(id, func(t *testing.T) {
+			spec, err := netgen.ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Parallelism: 2}
+			view, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := SimulateNetOpts(view, opts)
+			addTwins(t, cfg, view, 3)
+			seededNet, diff, err := BuildFrom(cfg, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff.All() {
+				t.Fatal("the twins made every prefix dirty; nothing is carried across tables")
+			}
+			seeded := SimulateNetOpts(seededNet, opts)
+			fresh, err := SimulateOpts(cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(seeded.Devices(), fresh.Devices()) || !slices.IsSorted(fresh.Devices()) {
+				t.Fatal("the seeded table is in name order; the case compares one table with itself")
+			}
+			hosts := fresh.Hosts()
+			for _, pair := range [][2]*Snapshot{{seeded, fresh}, {fresh, seeded}} {
+				if d := assertDiffForwarding(t, pair[0], pair[1], hosts); len(d) != 0 {
+					t.Fatalf("one configuration differs from itself across tables: %v", d)
+				}
+				for _, dst := range hosts {
+					if !sameSuccessorsToward(pair[0], pair[1], dst, hosts) {
+						t.Fatalf("one configuration fell back to digests toward %s across tables", dst)
+					}
+				}
+			}
+			src, dst := hosts[1], hosts[0]
+			hop := fresh.TraceFrom(src, dst)[0].Hops[1]
+			edit := SimulateNetOpts(seededNet, opts)
+			setRoute(edit, hop, edit.Net.HostPrefix[dst], nil)
+			for _, pair := range [][2]*Snapshot{{fresh, edit}, {edit, fresh}} {
+				if d := assertDiffForwarding(t, pair[0], pair[1], hosts); !slices.Contains(d, Pair{Src: src, Dst: dst}) {
+					t.Fatalf("deleting %s's route toward %s went unreported: %v", hop, dst, d)
+				}
+			}
+		})
 	}
 }

@@ -141,28 +141,31 @@ func (s *Snapshot) PairDigestsFor(hosts []string) *PairDigests {
 // and identical at any worker count — the strong-functional-equivalence
 // check (§5.1) without extracting either data plane.
 //
-// A destination whose longest-prefix-match columns both Snapshots share,
+// The two Snapshots need not share a device table: orig's is translated
+// into anon's once per call (MapDevices), which is the identity when one
+// table extends the other, as a seeded Net's extends its seed's. A
+// destination whose longest-prefix-match columns both Snapshots share,
 // over one device table (BuildFrom carries columns that way), routes
-// alike on both sides and is skipped without building an engine.
-// Otherwise both Snapshots' successor graphs are built through transient
-// engines. When every node a walk from hosts can visit in
-// orig's graph has the same kind and the same successor names, in the
-// same order, in anon's (sameSuccessors), every walk from those hosts
-// sees one graph on both sides, so the path sets are equal — the
-// maxTracePaths cut and the depth bound included, since both are
-// functions of the graph and its successor order — and the destination
-// is skipped. Only the remaining destinations digest their pairs on both
-// sides and report the pairs that differ.
+// alike on both sides and is skipped without reading a route. Otherwise,
+// when every node a walk from hosts can visit in orig's successor graph
+// has the same kind and the same successor devices, in the same order, in
+// anon's (sameSuccessors), every walk from those hosts sees one graph on
+// both sides, so the path sets are equal — the maxTracePaths cut and the
+// depth bound included, since both are functions of the graph and its
+// successor order — and the destination is skipped. Only the remaining
+// destinations digest their pairs on both sides and report the pairs
+// that differ.
 func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
 	cols := make([][]Pair, len(hosts))
-	oneTable := slices.Equal(orig.tab.devices, anon.tab.devices)
+	m := MapDevices(orig, anon)
+	oneTable := m.identity() && len(orig.tab.devices) == len(anon.tab.devices)
 	forEachIndex(orig.traceWorkers(), len(hosts), func(j int) {
 		dst := hosts[j]
 		if oneTable && sharesColumns(orig, anon, dst) {
 			return
 		}
 		eo, ea := orig.transientEngineFor(dst), anon.transientEngineFor(dst)
-		if eo != nil && ea != nil && sameSuccessors(eo, ea, hosts) {
+		if eo != nil && ea != nil && sameSuccessors(eo, ea, hosts, m) {
 			return
 		}
 		for _, src := range hosts {
@@ -180,37 +183,52 @@ func DiffForwarding(orig, anon *Snapshot, hosts []string) []Pair {
 // toward host dst from the very same columns. Over one device table that
 // makes dst's successor graph one graph.
 func sharesColumns(a, b *Snapshot, dst string) bool {
-	same := func(x, y []*Route) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
-	pfx, ok := a.Net.HostPrefix[dst]
-	if !ok || b.Net.HostPrefix[dst] != pfx || !same(a.column(a.tab.index(pfx)), b.column(b.tab.index(pfx))) {
-		return false // the common case when nothing was carried: no table scan
+	ca, cb := a.lpmChain(dst), b.lpmChain(dst)
+	if ca == nil || len(ca) != len(cb) {
+		return false
 	}
-	addr := hostAddr(a.Net, dst)
-	return hostAddr(b.Net, dst) == addr && slices.EqualFunc(a.lpmColumns(pfx, addr), b.lpmColumns(pfx, addr), same)
+	for k := range ca {
+		x, y := a.column(ca[k]), b.column(cb[k])
+		if len(x) != len(y) || len(x) > 0 && &x[0] != &y[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // sameSuccessors reports whether every node of e's successor graph — each
-// configured device of e's Snapshot, each out-of-config successor, and
-// each of srcs — has the same kind and the same successor names, in the
-// same order, in o's graph toward the same destination. A node outside
-// o's configured set counts as a black hole there, as it does for the
-// walker. It builds both engines, so they must be fresh transient engines
-// owned by the caller.
-func sameSuccessors(e, o *destEngine, srcs []string) bool {
+// configured device of e's Snapshot, the discard node, and each of srcs —
+// has the same kind and the same successor devices, in the same order, in
+// o's graph toward the same destination, m translating e's device indices
+// into o's. A device outside o's configured set counts as a black hole
+// there, as it does for the walker. It builds both engines, so they must
+// be fresh transient engines owned by the caller.
+func sameSuccessors(e, o *destEngine, srcs []string, m DeviceMap) bool {
 	e.build()
 	o.build()
-	for _, src := range srcs {
-		e.indexOf(src)
-	}
-	for i := range e.nodes {
-		n := &e.nodes[i]
-		j := o.indexOf(e.nameAt[i])
-		m := &o.nodes[j]
-		if n.kind != m.kind || len(n.succ) != len(m.succ) {
+	for i := int32(0); i < e.ndev; i++ {
+		ki, ni := e.hops(i)
+		kj, nj := blackholeNode, []NextHop(nil)
+		if j, ok := m.Map(i); ok {
+			kj, nj = o.hops(j)
+		}
+		if ki != kj || len(ni) != len(nj) {
 			return false
 		}
-		for k, s := range n.succ {
-			if e.nameAt[s] != o.nameAt[m.succ[k]] {
+		for k, nh := range ni {
+			if j, ok := m.Map(nh.Dev); !ok || j != nj[k].Dev {
+				return false
+			}
+		}
+	}
+	// A source outside e's table is a black hole there, as the discard
+	// node is on both sides.
+	for _, src := range srcs {
+		if _, ok := e.snap.tab.devIdx[src]; ok {
+			continue
+		}
+		if j, ok := o.snap.tab.devIdx[src]; ok {
+			if k, _ := o.hops(j); k != blackholeNode {
 				return false
 			}
 		}

@@ -143,7 +143,7 @@ func corruptFIBs(snap *Snapshot, rng *rand.Rand) {
 			case 0: // rewrite a next hop to a random router → possible loop
 				if len(rt.NextHops) > 0 {
 					nh := rt.NextHops[rng.Intn(len(rt.NextHops))]
-					nh.Device = routers[rng.Intn(len(routers))]
+					nh.Dev, _ = snap.DeviceIndex(routers[rng.Intn(len(routers))])
 					c := *rt
 					c.NextHops = slices.Clone(rt.NextHops)
 					c.NextHops[rng.Intn(len(rt.NextHops))] = nh

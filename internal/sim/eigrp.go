@@ -86,6 +86,7 @@ func (n *Net) runEIGRP(workers int) map[string]map[netip.Prefix]*Route {
 				}
 			}
 			for _, a := range core.eigrpLinks[r] {
+				nh := core.tab.nextHop(a.nb, a.iface)
 				for p, e := range vec[a.nb] {
 					if connectedOf[r][p] {
 						continue
@@ -94,7 +95,6 @@ func (n *Net) runEIGRP(workers int) map[string]map[netip.Prefix]*Route {
 					if n.filterDeniesEIGRP(d, a.iface, p) {
 						continue
 					}
-					nh := NextHop{Device: a.nb, Iface: a.iface}
 					cur, ok := nv[p]
 					switch {
 					case !ok || m < cur.metric:
@@ -106,7 +106,7 @@ func (n *Net) runEIGRP(workers int) map[string]map[netip.Prefix]*Route {
 				}
 			}
 			nvs[idx] = nv
-			diffs[idx] = !ripVecEqual(vec[r], nv)
+			diffs[idx] = !core.tab.ripVecEqual(vec[r], nv)
 		})
 		next := make(map[string]map[netip.Prefix]ripEntry, len(speakers))
 		changed := false
@@ -126,7 +126,7 @@ func (n *Net) runEIGRP(workers int) map[string]map[netip.Prefix]*Route {
 			if len(e.nextHops) == 0 {
 				continue
 			}
-			table[p] = &Route{Prefix: p, Source: SrcEIGRP, Metric: e.metric, NextHops: sortNextHops(e.nextHops)}
+			table[p] = &Route{Prefix: p, Source: SrcEIGRP, Metric: e.metric, NextHops: core.tab.sortNextHops(e.nextHops)}
 		}
 		out[r] = table
 	}

@@ -212,14 +212,15 @@ func (b *colBuild) put(pi, di int32, rt *Route) {
 	}
 }
 
-// resolveDirect finds the link of dev whose far-end address equals addr.
-func (n *Net) resolveDirect(dev string, addr netip.Addr) (NextHop, bool) {
+// resolveDirect finds the link of dev whose far-end address equals addr
+// and returns the far-end device and dev's interface on it.
+func (n *Net) resolveDirect(dev string, addr netip.Addr) (nb, iface string, ok bool) {
 	for _, l := range n.linksOf[dev] {
 		other, _ := l.Other(dev)
 		if other.Addr == addr {
 			local, _ := l.Local(dev)
-			return NextHop{Device: other.Device, Iface: local.Iface}, true
+			return other.Device, local.Iface, true
 		}
 	}
-	return NextHop{}, false
+	return "", "", false
 }

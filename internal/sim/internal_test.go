@@ -68,31 +68,42 @@ func TestDistMatrixIsolatedSpeaker(t *testing.T) {
 	}
 }
 
+// nameTable is a prefix table holding only device and interface names,
+// interned in the order given (not name order), as a seeded Net's are.
+func nameTable(devices, ifaces []string) *prefixTable {
+	t := &prefixTable{}
+	t.devices, t.devIdx, t.devRank = internTable(nil, devices)
+	t.ifaces, t.ifIdx, t.ifRank = internTable(nil, ifaces)
+	return t
+}
+
 func TestSortNextHopsDedup(t *testing.T) {
+	tab := nameTable([]string{"b", "a"}, []string{"i2", "i1"})
 	in := []NextHop{
-		{Device: "b", Iface: "i1"},
-		{Device: "a", Iface: "i2"},
-		{Device: "b", Iface: "i1"},
-		{Device: "a", Iface: "i1"},
+		tab.nextHop("b", "i1"),
+		tab.nextHop("a", "i2"),
+		tab.nextHop("b", "i1"),
+		tab.nextHop("a", "i1"),
 	}
-	got := sortNextHops(in)
+	got := tab.sortNextHops(in)
 	if len(got) != 3 {
 		t.Fatalf("dedup failed: %v", got)
 	}
-	if got[0] != (NextHop{Device: "a", Iface: "i1"}) || got[2] != (NextHop{Device: "b", Iface: "i1"}) {
+	if got[0] != tab.nextHop("a", "i1") || got[2] != tab.nextHop("b", "i1") {
 		t.Fatalf("order wrong: %v", got)
 	}
 }
 
 // Property: sortNextHops is idempotent and never grows the slice.
 func TestSortNextHopsProperties(t *testing.T) {
+	tab := nameTable([]string{"e", "c", "a", "d", "b"}, []string{"z", "x", "y"})
 	f := func(raw []uint8) bool {
 		in := make([]NextHop, 0, len(raw))
 		for _, v := range raw {
-			in = append(in, NextHop{Device: string(rune('a' + v%5)), Iface: string(rune('x' + v%3))})
+			in = append(in, tab.nextHop(string(rune('a'+v%5)), string(rune('x'+v%3))))
 		}
-		once := sortNextHops(append([]NextHop(nil), in...))
-		twice := sortNextHops(append([]NextHop(nil), once...))
+		once := tab.sortNextHops(append([]NextHop(nil), in...))
+		twice := tab.sortNextHops(append([]NextHop(nil), once...))
 		if len(once) > len(in) || len(once) != len(twice) {
 			return false
 		}

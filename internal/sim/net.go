@@ -93,9 +93,12 @@ type Net struct {
 
 	// core caches the filter-independent simulation state (SPF, enabled
 	// links, BGP sessions); built once on first use, kept across
-	// InvalidateFilters. See simCore.
+	// InvalidateFilters. See simCore. seedTab is the table of the Snapshot
+	// BuildFrom seeds the Net from, whose device and interface tables the
+	// core's extends; the core drops it once built.
 	coreOnce sync.Once
 	core     *simCore
+	seedTab  *prefixTable
 
 	// last is the filter-dependent result of the most recent simulation
 	// (or the columns BuildFrom carried over from its seed) and stale the

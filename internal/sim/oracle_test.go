@@ -57,11 +57,12 @@ func (s *Snapshot) traceNaive(start, dst string, f Failure) []Path {
 		defer delete(seen, cur)
 		live := 0
 		for _, nh := range rt.NextHops {
-			if !f.IsZero() && f.prunes(cur, nh.Device) {
+			next, _ := s.NextHopNames(nh)
+			if !f.IsZero() && f.prunes(cur, next) {
 				continue
 			}
 			live++
-			walk(nh.Device, hops, seen)
+			walk(next, hops, seen)
 		}
 		if live == 0 {
 			out = append(out, Path{Hops: append([]string(nil), hops...), Status: BlackHoled})
@@ -99,13 +100,24 @@ func (s *Snapshot) reachNaive(start, dst string) bool {
 			continue
 		}
 		for _, nh := range rt.NextHops {
-			if !seen[nh.Device] {
-				seen[nh.Device] = true
-				stack = append(stack, nh.Device)
+			if next, _ := s.NextHopNames(nh); !seen[next] {
+				seen[next] = true
+				stack = append(stack, next)
 			}
 		}
 	}
 	return false
+}
+
+// hostAddr returns the host's interface address.
+func hostAddr(n *Net, host string) netip.Addr {
+	d := n.Cfg.Device(host)
+	for _, i := range d.Interfaces {
+		if i.Addr.IsValid() {
+			return i.Addr.Addr()
+		}
+	}
+	return netip.Addr{}
 }
 
 // tracedDiff is the reference pair diff: the ordered pairs drawn from
@@ -138,6 +150,24 @@ func pathSetKey(ps []Path) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
+}
+
+// hopTo returns the next hop toward device dev (a configured device, or
+// DiscardDevice) over interface iface, both resolved through s's tables:
+// how tests hand-build routes.
+func hopTo(s *Snapshot, dev, iface string) NextHop {
+	ii, ok := s.tab.ifIdx[iface]
+	if !ok {
+		panic("hopTo: unknown interface " + iface)
+	}
+	if dev == DiscardDevice {
+		return NextHop{Dev: DiscardDev, Iface: ii}
+	}
+	di, ok := s.tab.devIdx[dev]
+	if !ok {
+		panic("hopTo: unknown device " + dev)
+	}
+	return NextHop{Dev: di, Iface: ii}
 }
 
 // setRoute replaces device dev's route to prefix p (nil deletes it): the

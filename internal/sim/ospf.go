@@ -126,14 +126,14 @@ func getOSPFScratch(n int) *ospfScratch {
 }
 
 // linkCand is one OSPF adjacency of a speaker, resolved once per run:
-// the interned neighbor, the local interface and its cost, and the
-// compiled inbound distribute-list on that interface (nil when none).
+// the interned neighbor, the next hop over it, the local interface's
+// cost, and the compiled inbound distribute-list on that interface (nil
+// when none).
 type linkCand struct {
-	nb     int32
-	nbName string
-	iface  string
-	cost   int32
-	in     *listEval
+	nb   int32
+	nh   NextHop
+	cost int32
+	in   *listEval
 }
 
 // runOSPF computes the OSPF route rows: one per advertised prefix, one
@@ -186,7 +186,7 @@ func (n *Net) runOSPF(workers int, filters *filterState, last *simResult, dirty 
 		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
 		for _, a := range core.ospfLinks[r] {
 			nb, _ := oc.t.id(a.nb)
-			cs = append(cs, linkCand{nb: nb, nbName: a.nb, iface: a.iface, cost: clampCost32(a.metric), in: ins[a.iface]})
+			cs = append(cs, linkCand{nb: nb, nh: core.tab.nextHop(a.nb, a.iface), cost: clampCost32(a.metric), in: ins[a.iface]})
 		}
 		cands[si] = cs
 	})
@@ -241,13 +241,13 @@ func (n *Net) runOSPF(workers int, filters *filterState, last *simResult, dirty 
 				switch {
 				case best == -1 || cand < best:
 					best = cand
-					sc.nhs = append(sc.nhs[:start], NextHop{Device: lc.nbName, Iface: lc.iface})
+					sc.nhs = append(sc.nhs[:start], lc.nh)
 				case cand == best:
-					sc.nhs = append(sc.nhs, NextHop{Device: lc.nbName, Iface: lc.iface})
+					sc.nhs = append(sc.nhs, lc.nh)
 				}
 			}
 			if best >= 0 {
-				seg := sortNextHops(sc.nhs[start:])
+				seg := core.tab.sortNextHops(sc.nhs[start:])
 				sc.nhs = sc.nhs[:int(start)+len(seg)]
 				sc.slot[si] = int32(len(arena))
 				arena = append(arena, Route{Prefix: p, Source: SrcOSPF, Metric: int(best)})
@@ -295,9 +295,8 @@ func (st *ospfState) nextHopsToRouter(r, dst string) []NextHop {
 			continue
 		}
 		if satAdd32(a.cost, dn) == target {
-			local, _ := a.link.Local(r)
-			nhs = append(nhs, NextHop{Device: st.t.names[a.to], Iface: local.Iface})
+			nhs = append(nhs, a.nh)
 		}
 	}
-	return sortNextHops(nhs)
+	return st.tab.sortNextHops(nhs)
 }

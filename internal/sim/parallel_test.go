@@ -13,16 +13,23 @@ import (
 )
 
 // fibFingerprint canonically serializes every device's FIB so two
-// snapshots can be compared for exact equality.
+// snapshots can be compared for exact equality. Next hops print by name,
+// as "{device iface}", so Snapshots with differently ordered device
+// tables compare alike.
 func fibFingerprint(snap *Snapshot) string {
 	names := slices.Clone(snap.Devices())
 	sort.Strings(names)
 	var b strings.Builder
+	type namedHop struct{ Device, Iface string }
 	for _, n := range names {
 		fib := snap.FIB(n)
 		for _, p := range fib.Prefixes() {
 			rt := fib[p]
-			fmt.Fprintf(&b, "%s %v %v %d %v\n", n, p, rt.Source, rt.Metric, rt.NextHops)
+			hops := make([]namedHop, len(rt.NextHops))
+			for i, nh := range rt.NextHops {
+				hops[i].Device, hops[i].Iface = snap.NextHopNames(nh)
+			}
+			fmt.Fprintf(&b, "%s %v %v %d %v\n", n, p, rt.Source, rt.Metric, hops)
 		}
 	}
 	return b.String()

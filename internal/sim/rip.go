@@ -93,6 +93,7 @@ func (n *Net) runRIP(workers int) map[string]map[netip.Prefix]*Route {
 				}
 			}
 			for _, a := range core.ripLinks[r] {
+				nh := core.tab.nextHop(a.nb, a.iface)
 				for p, e := range vec[a.nb] {
 					if connectedOf[r][p] {
 						continue
@@ -104,7 +105,6 @@ func (n *Net) runRIP(workers int) map[string]map[netip.Prefix]*Route {
 					if n.filterDeniesRIP(d, a.iface, p) {
 						continue
 					}
-					nh := NextHop{Device: a.nb, Iface: a.iface}
 					cur, ok := nv[p]
 					switch {
 					case !ok || m < cur.metric:
@@ -116,7 +116,7 @@ func (n *Net) runRIP(workers int) map[string]map[netip.Prefix]*Route {
 				}
 			}
 			nvs[idx] = nv
-			diffs[idx] = !ripVecEqual(vec[r], nv)
+			diffs[idx] = !core.tab.ripVecEqual(vec[r], nv)
 		})
 		next := make(map[string]map[netip.Prefix]ripEntry, len(speakers))
 		changed := false
@@ -136,7 +136,7 @@ func (n *Net) runRIP(workers int) map[string]map[netip.Prefix]*Route {
 			if len(e.nextHops) == 0 {
 				continue // connected origination, not a RIP route
 			}
-			table[p] = &Route{Prefix: p, Source: SrcRIP, Metric: e.metric, NextHops: sortNextHops(e.nextHops)}
+			table[p] = &Route{Prefix: p, Source: SrcRIP, Metric: e.metric, NextHops: core.tab.sortNextHops(e.nextHops)}
 		}
 		out[r] = table
 	}
@@ -154,7 +154,7 @@ func (n *Net) filterDeniesRIP(d *config.Device, iface string, p netip.Prefix) bo
 	return n.denies(d, name, p)
 }
 
-func ripVecEqual(a, b map[netip.Prefix]ripEntry) bool {
+func (t *prefixTable) ripVecEqual(a, b map[netip.Prefix]ripEntry) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -163,8 +163,8 @@ func ripVecEqual(a, b map[netip.Prefix]ripEntry) bool {
 		if !ok || ea.metric != eb.metric || len(ea.nextHops) != len(eb.nextHops) {
 			return false
 		}
-		as := sortNextHops(append([]NextHop(nil), ea.nextHops...))
-		bs := sortNextHops(append([]NextHop(nil), eb.nextHops...))
+		as := t.sortNextHops(append([]NextHop(nil), ea.nextHops...))
+		bs := t.sortNextHops(append([]NextHop(nil), eb.nextHops...))
 		for i := range as {
 			if as[i] != bs[i] {
 				return false

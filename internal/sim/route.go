@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,15 +51,31 @@ func (s Source) String() string {
 	}
 }
 
-// DiscardDevice is the pseudo next-hop device of a Null0 discard route;
-// traffic forwarded to it is dropped (it has no FIB), matching Null0
-// semantics.
+// DiscardDevice is the name of the pseudo next-hop device of a Null0
+// discard route; traffic forwarded to it is dropped (it has no FIB),
+// matching Null0 semantics. It is in no device table: a discard next
+// hop's Dev is DiscardDev.
 const DiscardDevice = "_null0_"
 
-// NextHop is one forwarding choice of a FIB entry.
+// DiscardDev is the Dev of a Null0 discard route's next hop, the
+// DiscardDevice.
+const DiscardDev int32 = -1
+
+// NextHop is one forwarding choice of a FIB entry, as two indices into
+// the tables of the Net that computed it: Dev is the next device's index
+// in the device table (Snapshot.Devices), or DiscardDev, and Iface the
+// outgoing interface's index in the Net-wide interface-name table. A
+// NextHop holds no pointer, so route columns cost the garbage collector
+// only their Route pointers. Snapshot.NextHopNames names one.
+//
+// A Net that BuildFrom seeds extends its seed's tables, so a next hop
+// means the same in every Net of a lineage, and two next hops of one
+// lineage are equal exactly when they name the same device and
+// interface. Next hops of unrelated Snapshots are compared through a
+// DeviceMap.
 type NextHop struct {
-	Device string // next device (router or host), or DiscardDevice
-	Iface  string // outgoing interface on the current router
+	Dev   int32
+	Iface int32
 }
 
 // Route is one FIB entry: the best route to Prefix after administrative-
@@ -70,13 +87,15 @@ type Route struct {
 	NextHops []NextHop
 }
 
-// sortNextHops orders next hops deterministically and removes duplicates.
-func sortNextHops(nhs []NextHop) []NextHop {
+// sortNextHops orders next hops by device name, then interface name, and
+// removes duplicates. It compares the table's precomputed name ranks, so
+// the order is by name however the tables interned the names.
+func (t *prefixTable) sortNextHops(nhs []NextHop) []NextHop {
 	// Insertion sort: next-hop lists are ECMP-width (a handful of
 	// entries), and the closure-free sort keeps the per-route cost out of
 	// the allocator on the 10⁵–10⁶-route runs of the scale networks.
 	for i := 1; i < len(nhs); i++ {
-		for j := i; j > 0 && nextHopLess(nhs[j], nhs[j-1]); j-- {
+		for j := i; j > 0 && t.nextHopLess(nhs[j], nhs[j-1]); j-- {
 			nhs[j], nhs[j-1] = nhs[j-1], nhs[j]
 		}
 	}
@@ -92,11 +111,11 @@ func sortNextHops(nhs []NextHop) []NextHop {
 	return out
 }
 
-func nextHopLess(a, b NextHop) bool {
-	if a.Device != b.Device {
-		return a.Device < b.Device
+func (t *prefixTable) nextHopLess(a, b NextHop) bool {
+	if a.Dev != b.Dev {
+		return t.devRank[a.Dev] < t.devRank[b.Dev]
 	}
-	return a.Iface < b.Iface
+	return t.ifRank[a.Iface] < t.ifRank[b.Iface]
 }
 
 // FIB is a router's forwarding table: destination prefix → best route.
@@ -241,8 +260,68 @@ func (s *Snapshot) NextHopRouters(r string, p netip.Prefix) []string {
 	}
 	out := make([]string, 0, len(rt.NextHops))
 	for _, nh := range rt.NextHops {
-		out = append(out, nh.Device)
+		out = append(out, s.tab.deviceName(nh.Dev))
 	}
 	sort.Strings(out)
 	return out
 }
+
+// NextHopNames returns the names of a next hop of one of the Snapshot's
+// routes: its device (DiscardDevice for a discard route) and its
+// outgoing interface.
+func (s *Snapshot) NextHopNames(nh NextHop) (dev, iface string) {
+	return s.tab.deviceName(nh.Dev), s.tab.ifaces[nh.Iface]
+}
+
+// DeviceIndex returns a configured device's index in the Snapshot's
+// device table, the Dev its routes' next hops name it by.
+func (s *Snapshot) DeviceIndex(name string) (int32, bool) {
+	i, ok := s.tab.devIdx[name]
+	return i, ok
+}
+
+// DeviceMap translates the device indices of one Snapshot's table into
+// another's. When one table extends the other, as a seeded Net's extends
+// its seed's (BuildFrom), it is the identity on the devices both hold;
+// otherwise it holds a by-name translation, built once.
+type DeviceMap struct {
+	// n bounds the identity when to is nil; to[d] is device d's index in
+	// the other table, -1 where it has none.
+	n  int32
+	to []int32
+}
+
+// MapDevices returns the DeviceMap from from's device table into to's.
+func MapDevices(from, to *Snapshot) DeviceMap {
+	a, b := from.tab.devices, to.tab.devices
+	n := min(len(a), len(b))
+	if slices.Equal(a[:n], b[:n]) {
+		return DeviceMap{n: int32(n)}
+	}
+	m := DeviceMap{to: make([]int32, len(a))}
+	for i, name := range a {
+		m.to[i] = -1
+		if j, ok := to.tab.devIdx[name]; ok {
+			m.to[i] = j
+		}
+	}
+	return m
+}
+
+// Map returns the index in the other table of device dev of this one,
+// and whether the other table holds the device. DiscardDev maps to
+// itself.
+func (m DeviceMap) Map(dev int32) (int32, bool) {
+	switch {
+	case dev == DiscardDev:
+		return DiscardDev, true
+	case m.to == nil:
+		return dev, dev < m.n
+	default:
+		j := m.to[dev]
+		return j, j >= 0
+	}
+}
+
+// identity reports whether the map translates no index.
+func (m DeviceMap) identity() bool { return m.to == nil }

@@ -36,28 +36,34 @@ import (
 //   - Per prefix: the prefix is in both tables; it has the same origins
 //     (the interfaces in it with their protocols and metrics, and the BGP
 //     network statements for it with their speakers' router IDs); the
-//     same connected and static candidates, compared by device name; and
-//     no deny decision for it changed between prev's filter view and the
-//     new one (the diff DiffNetworks computes).
+//     same connected and static candidates; and no deny decision for it
+//     changed between prev's filter view and the new one (the diff
+//     DiffNetworks computes).
 //
 // The router ID counts per prefix because bgpBetter breaks ties on the
 // originator's ID, and routerID falls back to the highest interface
 // address: a new interface can raise a speaker's ID and so flip the best
 // route toward every prefix that speaker originates, and only those.
 //
-// Carried columns are shared with prev when both device tables are equal
-// and otherwise re-indexed into the new table by device name. A device
-// new to the table gets no route toward a carried prefix: any route it
-// could have would have changed that prefix's origins or candidates.
+// The new Net's device and interface tables extend prev's: prev's names
+// keep their indices and the new ones are appended in name order, so the
+// next hops inside carried columns and OSPF rows stay valid as they are.
+// A carried column is shared with prev when both device tables hold the
+// same devices, and otherwise extended with no route for each appended
+// device: any route such a device could have would have changed that
+// prefix's origins or candidates. A configuration that lacks one of
+// prev's devices cannot extend its table: the Net is built as Build
+// builds it, in name order, and every prefix is marked.
 func BuildFrom(cfg *config.Network, prev *Snapshot) (*Net, *FilterDiff, error) {
 	n, err := Build(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	all := &FilterDiff{all: true}
-	if prev == nil {
+	if prev == nil || slices.ContainsFunc(prev.tab.devices, func(d string) bool { return cfg.Device(d) == nil }) {
 		return n, all, nil
 	}
+	n.seedTab = prev.tab
 	c, pc := n.coreFor(1), prev.Net.coreFor(1)
 	if !sameAdjacencies(c, pc) {
 		return n, all, nil
@@ -68,18 +74,23 @@ func BuildFrom(cfg *config.Network, prev *Snapshot) (*Net, *FilterDiff, error) {
 		return n, all, nil
 	}
 	t, pt := c.tab, pc.tab
-	carry := columnCarrier(pt, t)
 	last := &simResult{ospfRows: make([][]*Route, len(t.prefixes)), cols: make([][]*Route, len(t.prefixes))}
 	dirty := &FilterDiff{}
 	for pi, p := range t.prefixes {
 		pj, ok := pt.idx[p]
-		if !ok || filters.Marks(p) || !slices.Equal(t.origins[pi], pt.origins[pj]) || !sameFixed(t, pt, t.fixed[pi], pt.fixed[pj]) ||
+		if !ok || filters.Marks(p) || !slices.Equal(t.origins[pi], pt.origins[pj]) || !sameFixed(t.fixed[pi], pt.fixed[pj]) ||
 			t.dest[pi] && !pt.dest[pj] {
 			dirty.mark(p.Masked())
 			continue
 		}
 		if t.dest[pi] {
-			last.cols[pi] = carry(prev.cols[pj])
+			col := prev.cols[pj]
+			if len(col) != len(t.devices) {
+				ext := make([]*Route, len(t.devices))
+				copy(ext, col)
+				col = ext
+			}
+			last.cols[pi] = col
 			last.ospfRows[pi] = prev.ospfRows[pj]
 		}
 	}
@@ -105,35 +116,11 @@ func sameAdjacencies(a, b *simCore) bool {
 }
 
 // sameFixed reports whether two prefixes' connected and static
-// candidates, a from table t and b from table pt, agree device by device.
-func sameFixed(t, pt *prefixTable, a, b []devRoute) bool {
+// candidates, one from a table and one from the table it extends, agree
+// device by device. Over an extension, equal indices are equal names.
+func sameFixed(a, b []devRoute) bool {
 	return slices.EqualFunc(a, b, func(x, y devRoute) bool {
-		return t.devices[x.dev] == pt.devices[y.dev] && x.rt.Prefix == y.rt.Prefix &&
+		return x.dev == y.dev && x.rt.Prefix == y.rt.Prefix &&
 			x.rt.Source == y.rt.Source && x.rt.Metric == y.rt.Metric && slices.Equal(x.rt.NextHops, y.rt.NextHops)
 	})
-}
-
-// columnCarrier returns how a column of table from moves into table to:
-// as it is when both device tables are equal, else copied into to's
-// device order by name.
-func columnCarrier(from, to *prefixTable) func([]*Route) []*Route {
-	if slices.Equal(from.devices, to.devices) {
-		return func(col []*Route) []*Route { return col }
-	}
-	pos := make([]int32, len(to.devices))
-	for di, name := range to.devices {
-		pos[di] = -1
-		if pj, ok := from.devIdx[name]; ok {
-			pos[di] = pj
-		}
-	}
-	return func(col []*Route) []*Route {
-		out := make([]*Route, len(pos))
-		for di, pj := range pos {
-			if pj >= 0 {
-				out[di] = col[pj]
-			}
-		}
-		return out
-	}
 }

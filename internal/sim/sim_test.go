@@ -353,8 +353,8 @@ func TestFIBLookupLongestPrefixMatch(t *testing.T) {
 	f := make(FIB)
 	wide := netip.MustParsePrefix("10.0.0.0/8")
 	narrow := netip.MustParsePrefix("10.1.0.0/24")
-	f[wide] = &Route{Prefix: wide, NextHops: []NextHop{{Device: "a"}}}
-	f[narrow] = &Route{Prefix: narrow, NextHops: []NextHop{{Device: "b"}}}
+	f[wide] = &Route{Prefix: wide, NextHops: []NextHop{{Dev: 0}}}
+	f[narrow] = &Route{Prefix: narrow, NextHops: []NextHop{{Dev: 1}}}
 	got := f.Lookup(netip.MustParseAddr("10.1.0.7"))
 	if got == nil || got.Prefix != narrow {
 		t.Fatalf("LPM picked %v", got)

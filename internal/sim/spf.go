@@ -51,18 +51,20 @@ func (t *interner) size() int { return len(t.names) }
 
 // csrArc is one directed weighted edge in CSR storage. The cost is that of
 // the outgoing interface on the source router, matching OSPF semantics
-// where each direction of a link may carry a different cost.
+// where each direction of a link may carry a different cost; nh is the
+// forward arc's next hop from the source router (zero in a reversed
+// graph).
 type csrArc struct {
 	to   int32
 	cost int32
-	link *Link
+	nh   NextHop
 }
 
 // csrEdge is the builder-side edge representation fed to buildCSR.
 type csrEdge struct {
 	from, to int32
 	cost     int32
-	link     *Link
+	nh       NextHop
 }
 
 // csrGraph is a weighted directed graph in compressed-sparse-row form:
@@ -87,7 +89,7 @@ func buildCSR(t *interner, edges []csrEdge) *csrGraph {
 	}
 	next := append(make([]int32, 0, n), g.off[:n]...)
 	for _, e := range edges {
-		g.arcs[next[e.from]] = csrArc{to: e.to, cost: e.cost, link: e.link}
+		g.arcs[next[e.from]] = csrArc{to: e.to, cost: e.cost, nh: e.nh}
 		next[e.from]++
 	}
 	return g
@@ -101,7 +103,7 @@ func (g *csrGraph) reverse() *csrGraph {
 	edges := make([]csrEdge, 0, len(g.arcs))
 	for v := int32(0); v < int32(g.t.size()); v++ {
 		for _, a := range g.arcs[g.off[v]:g.off[v+1]] {
-			edges = append(edges, csrEdge{from: a.to, to: v, cost: a.cost, link: a.link})
+			edges = append(edges, csrEdge{from: a.to, to: v, cost: a.cost})
 		}
 	}
 	return buildCSR(g.t, edges)

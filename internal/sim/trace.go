@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"net/netip"
 	"slices"
 	"strings"
 )
@@ -56,9 +55,9 @@ const (
 // exhaustively up to maxTracePaths), in canonical sorted order.
 //
 // The walk is served by the Snapshot's per-destination engine (see
-// dataplane.go), which derives dst's successor graph once and caches each
-// source's sorted path list, so a repeated trace of the same pair is not
-// walked again. Returned paths are cached: callers must treat them as
+// dataplane.go), which reads dst's successor graph from the route columns
+// and caches each source's sorted path list, so a repeated trace of the
+// same pair is not walked again. Returned paths are cached: callers must treat them as
 // read-only.
 func (s *Snapshot) TraceFrom(start, dst string) []Path {
 	e := s.engineFor(dst)
@@ -66,17 +65,6 @@ func (s *Snapshot) TraceFrom(start, dst string) []Path {
 		return nil
 	}
 	return e.pathsFor(start)
-}
-
-// hostAddr returns the host's interface address.
-func hostAddr(n *Net, host string) netip.Addr {
-	d := n.Cfg.Device(host)
-	for _, i := range d.Interfaces {
-		if i.Addr.IsValid() {
-			return i.Addr.Addr()
-		}
-	}
-	return netip.Addr{}
 }
 
 // Pair identifies an ordered host pair.

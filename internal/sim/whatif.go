@@ -146,18 +146,20 @@ func (e *destEngine) pathsUnderFailure(src string, f Failure) []Path {
 // path caps), which is sound: a false return guarantees the pruned walk
 // would equal the unpruned one. Callers hold mu.
 func (e *destEngine) failureReaches(start int32, f Failure) bool {
-	if f.Node != "" && e.nameAt[start] == f.Node {
+	if f.Node != "" && e.name(start) == f.Node {
 		return true
 	}
-	seen := make([]bool, len(e.nodes))
+	seen := make([]bool, e.size())
 	stack := []int32{start}
 	seen[start] = true
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		name := e.nameAt[cur]
-		for _, s := range e.nodes[cur].succ {
-			if f.prunes(name, e.nameAt[s]) {
+		name := e.name(cur)
+		_, nhs := e.hops(cur)
+		for _, nh := range nhs {
+			s := e.node(nh)
+			if f.prunes(name, e.name(s)) {
 				return true
 			}
 			if !seen[s] {

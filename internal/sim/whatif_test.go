@@ -71,15 +71,15 @@ func TestWhatIfMatchesNaiveCorrupted(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				tgt := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: tgt}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{hopTo(snap, tgt, "eth0")}})
 			case 1:
 				t1 := routers[rng.Intn(len(routers))]
 				t2 := routers[rng.Intn(len(routers))]
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: sortNextHops([]NextHop{{Device: t1}, {Device: t2, Iface: "x"}})})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: snap.tab.sortNextHops([]NextHop{hopTo(snap, t1, "eth0"), hopTo(snap, t2, "Null0")})})
 			case 2:
 				setRoute(snap, r, pfx, nil)
 			case 3:
-				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{{Device: DiscardDevice, Iface: "Null0"}}})
+				setRoute(snap, r, pfx, &Route{Prefix: pfx, Source: SrcStatic, NextHops: []NextHop{hopTo(snap, DiscardDevice, "Null0")}})
 			}
 		}
 		for _, f := range randomFailures(cfg, snap.Net.Links, rng) {
@@ -165,7 +165,7 @@ func TestWhatIfLoopAndBlackHoleClassification(t *testing.T) {
 	snap := chainNet(t)
 	// Corrupt r1: traffic toward hb bounces back to r0 (loop r0<->r1).
 	pfx := snap.Net.HostPrefix["hb"]
-	setRoute(snap, "r1", pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{{Device: "r0"}}})
+	setRoute(snap, "r1", pfx, &Route{Prefix: pfx, Source: SrcOSPF, NextHops: []NextHop{hopTo(snap, "r0", "eth0")}})
 
 	// Failure elsewhere (node r2): the loop is still the outcome.
 	ps := snap.TraceUnderFailure("ha", "hb", Failure{Node: "r2"})

@@ -4,8 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"confmask/internal/sim"
 )
 
 // outputPins holds the sha256 of the rendered Anonymize output (see
@@ -153,6 +157,120 @@ var strawmanPins = map[string]map[string][3]string{
 			"001c491bc803a84b83ef9b568ce7318bc834046e6c9a4ced160be54d31b9db66",
 		},
 	},
+}
+
+// routesPins holds the sha256 of every device's Routes table (see
+// routesDigest) for the eight Table 2 networks and MultiRegion10x30: the
+// generated input, then its Anonymize output with DefaultOptions at seed
+// 1. The next hops print by name, so a change to how the simulator
+// stores them must leave every value as it is.
+var routesPins = map[string][2]string{
+	"Enterprise": {
+		"bac1a0105dde238163ebb8816bc4ef5aceda6a7acd3e0d5e874db4f43578f6d4",
+		"acb88494b03325b914cce74d56406adb8a108db42c71f787759f3ae5dd4e086e",
+	},
+	"University": {
+		"0d0233e8f6aeb67888d655829a2a011616eb5c2c2ddd3df0c3518ae51833fae8",
+		"a1db678cbbe6664d8b4469cab1fe893dbcc7712eb1afad721be346a616a7c975",
+	},
+	"Backbone": {
+		"8e38709d899c8f077bab73e4cc858dbdb29bbce2474b62650c94c631361db2d9",
+		"c2e10e164f010fe1ec8882d9e3c8e418dd0e822d4e5d787f5862ecb963c562b9",
+	},
+	"Bics": {
+		"fb53ce87eb7b392c79983f7f04a6b9785b30d424035bdffca89cbb90d4b8ae14",
+		"8ea99ad474ecad5edd76279767d773868a94a8b8d509b6286f61a17882d412f1",
+	},
+	"Columbus": {
+		"58ffa3fc1b4e85f13bc5509ee683aa2eea592248543f015cb5833f802914c63e",
+		"ab8b25c166bb826b1c54c595e092773b356e2b8dde2a29b296399a638ae4bc6c",
+	},
+	"USCarrier": {
+		"674f1cb2b6e1bd2a7961c94aeb1ba28b2d5bc7045f09f8e964da3fe7c56ec40b",
+		"466677d331ade71a60a88590cb2c5966752a92f79c3cef9b5f96bab1c5445f88",
+	},
+	"FatTree04": {
+		"de6439018ea9572edb7b9844082c9200feafa96aecf085eb6013282f2169a4e1",
+		"cc3ba95cc5c5bf770c7b1d8942fef8814f716d7e3e97022f3f8cb173b2118947",
+	},
+	"FatTree08": {
+		"81c69479149ecf6f11f20ab6b3aa6eb77e316326b10d5c50de00371e444a3547",
+		"b5790e06da666bc75f3aba2c153f977b731d1e0fef7165e78c0534d248a668ef",
+	},
+	"MultiRegion10x30": {
+		"d33547277ed8061b6f77eb040380b413712728b502ff7432b8d91eaef90e4485",
+		"b37032b647663fadb5a29c51fb4e21156ea00fa7d2e9dd40db87da538e395780",
+	},
+}
+
+// routesDigest simulates a configuration set once and hashes every
+// device's Routes table, in device-name order: the name, NUL, then one
+// line per route.
+func routesDigest(t *testing.T, configs map[string]string) string {
+	t.Helper()
+	net, _, err := parseAny(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sim.Simulate(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, name := range net.Names() {
+		fmt.Fprintf(h, "%s\x00", name)
+		for _, r := range routeTable(snap, name) {
+			fmt.Fprintf(h, "%s %s %d %s\n", r.Prefix, r.Source, r.Metric, strings.Join(r.NextHops, ", "))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRoutesPins compares the Routes tables of every pinned network,
+// before and after anonymization, against the committed digests, and
+// checks that Routes itself returns the table the digest hashed for one
+// router of each.
+func TestRoutesPins(t *testing.T) {
+	names := append(ExampleNetworks(), "MultiRegion10x30")
+	if len(names) != len(routesPins) {
+		t.Fatalf("pinned %d networks, want %d", len(routesPins), len(names))
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			want, ok := routesPins[name]
+			if !ok {
+				t.Fatalf("no pin for %s", name)
+			}
+			configs := exampleConfigs(t, name)
+			opts := DefaultOptions()
+			opts.Seed = 1
+			out, _, err := Anonymize(configs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cs := range []map[string]string{configs, out} {
+				if got := routesDigest(t, cs); got != want[i] {
+					t.Errorf("%s: Routes sha256 %s, pinned %s", []string{"input", "output"}[i], got, want[i])
+				}
+			}
+			net, _, err := parseAny(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := sim.Simulate(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := net.Routers()[0]
+			got, err := Routes(out, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, routeTable(snap, r)) {
+				t.Fatalf("Routes(%s) differs from the table the digest hashed", r)
+			}
+		})
+	}
 }
 
 // outputDigest hashes a rendered configuration set in device-name order,
