@@ -124,16 +124,29 @@ func (p *Pool) Overlaps(pfx netip.Prefix) bool {
 	}
 	bits := pfx.Bits()
 	first := addrBits(pfx.Masked().Addr())
-	// A reserved prefix no longer than pfx that contains its first address.
+	_, covered := p.covering(first, bits)
+	return covered || p.holdsStart(first, bits)
+}
+
+// covering returns the last address of the shortest reserved IPv4 prefix
+// that contains the block of length bits starting at first, if any: a
+// reserved prefix no longer than the block that contains its first
+// address.
+func (p *Pool) covering(first uint32, bits int) (last uint32, ok bool) {
 	for _, b := range p.lens {
 		if b > bits {
 			break
 		}
 		if p.byLen[b][first&prefixMask(b)] {
-			return true
+			return first | ^prefixMask(b), true
 		}
 	}
-	// A reserved prefix whose first address pfx contains.
+	return 0, false
+}
+
+// holdsStart reports whether the block of length bits starting at first
+// contains a reserved IPv4 prefix's first address.
+func (p *Pool) holdsStart(first uint32, bits int) bool {
 	last := first | ^prefixMask(bits)
 	i, _ := slices.BinarySearch(p.starts, first)
 	return i < len(p.starts) && p.starts[i] <= last
@@ -143,6 +156,11 @@ func (p *Pool) Overlaps(pfx netip.Prefix) bool {
 func addrBits(a netip.Addr) uint32 {
 	a4 := a.As4()
 	return uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
+}
+
+// addrFrom returns the IPv4 address a number stands for.
+func addrFrom(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 // prefixMask returns the netmask of an IPv4 prefix length.
@@ -157,6 +175,12 @@ func prefixMask(bits int) uint32 {
 // an error only when every candidate supernet is exhausted, which for
 // realistic network sizes (thousands of links) cannot happen within the
 // RFC 1918 space.
+//
+// A candidate that a reserved prefix contains is skipped together with
+// every later candidate that prefix contains, in one step: a reserved
+// 10.0.0.0/8 costs one overlap check, not one per /31 it holds. The
+// candidates skipped would all have overlapped, so the sequence of
+// allocations is the one a walk over every candidate gives.
 func (p *Pool) Alloc(bits int) (netip.Prefix, error) {
 	if bits < 0 || bits > 32 {
 		return netip.Prefix{}, fmt.Errorf("netaddr: invalid prefix length /%d", bits)
@@ -168,8 +192,16 @@ func (p *Pool) Alloc(bits int) (netip.Prefix, error) {
 		addr := p.cursor[i]
 		for s.Contains(addr) {
 			cand := netip.PrefixFrom(addr, bits).Masked()
+			first := addrBits(cand.Addr())
+			if last, covered := p.covering(first, bits); covered {
+				if last == ^uint32(0) {
+					break // the reserved prefix runs to the end of the space
+				}
+				addr = addrFrom(last + 1)
+				continue
+			}
 			next, ok := nextBlock(cand)
-			if !p.Overlaps(cand) {
+			if !p.holdsStart(first, bits) {
 				p.Reserve(cand)
 				if ok {
 					p.cursor[i] = next.Addr()

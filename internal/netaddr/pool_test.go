@@ -154,11 +154,12 @@ func TestPoolOverlapsMatchesLinearScan(t *testing.T) {
 
 // TestPoolAllocMatchesLinearScan pins Alloc's sequence to the linear-scan
 // allocator: random reserved sets over four supernets (nested, adjacent
-// and duplicate prefixes, and prefixes spanning the two small supernets
-// whole), then random allocation lengths until both run out or 300
-// allocations, every result and the exhaustion error alike. Alloc walks
-// a spanned supernet's every candidate on each call, so nothing spans
-// the large one, whose walk the linear scan would make slow.
+// and duplicate prefixes, prefixes inside the large supernet that Alloc
+// jumps past, and in half the trials a prefix spanning one or two of the
+// three small supernets whole), then random allocation lengths until both
+// run out or 300 allocations, every result and the exhaustion error
+// alike. The reference walks a spanned supernet's every candidate on each
+// call, so nothing spans the large one, whose walk would make it slow.
 func TestPoolAllocMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	supers := []netip.Prefix{
@@ -168,13 +169,21 @@ func TestPoolAllocMatchesLinearScan(t *testing.T) {
 		netip.MustParsePrefix("192.168.0.0/25"),
 	}
 	large := supers[2]
-	allocs, exhausted := 0, 0
+	small := []netip.Prefix{supers[0], supers[1], supers[3]}
+	allocs, exhausted, spanned := 0, 0, 0
 	for trial := 0; trial < 100; trial++ {
 		var used []netip.Prefix
 		for _, r := range randomReserved(rng, supers, rng.Intn(60), 21) {
 			if r.Bits() > 20 || !r.Overlaps(large) {
 				used = append(used, r)
 			}
+		}
+		if rng.Intn(2) == 0 {
+			// A small supernet itself, or widened by two bits: the
+			// /22 around 10.0.1.0/24 spans 10.0.0.0/26 too.
+			s := small[rng.Intn(len(small))]
+			used = append(used, netip.PrefixFrom(s.Addr(), s.Bits()-2*rng.Intn(2)).Masked())
+			spanned++
 		}
 		p, ref := NewPool(used, supers), newLinearPool(used, supers)
 		for k := 0; k < 300; k++ {
@@ -196,25 +205,56 @@ func TestPoolAllocMatchesLinearScan(t *testing.T) {
 	}
 	// Both outcomes must be common, or the sets are too sparse or too
 	// dense to test anything.
-	if allocs < 10000 || exhausted < 10 {
-		t.Fatalf("%d allocations and %d exhaustions over 100 trials", allocs, exhausted)
+	if allocs < 10000 || exhausted < 10 || spanned < 30 {
+		t.Fatalf("%d allocations, %d exhaustions and %d spanned supernets over 100 trials", allocs, exhausted, spanned)
 	}
-	t.Logf("%d allocations, %d exhaustions", allocs, exhausted)
+	t.Logf("%d allocations, %d exhaustions, %d spanned supernets", allocs, exhausted, spanned)
 }
 
-// BenchmarkPoolAlloc allocates 256 /24 LANs over 2,000 reserved /31
-// link prefixes, the shape of adding twin hosts to a large network.
-func BenchmarkPoolAlloc(b *testing.B) {
-	var used []netip.Prefix
-	for i := 0; i < 2000; i++ {
-		used = append(used, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 7), byte(i << 1), 0}), 31))
-	}
-	for i := 0; i < b.N; i++ {
-		p := NewPool(used, nil)
-		for k := 0; k < 256; k++ {
-			if _, err := p.Alloc(24); err != nil {
-				b.Fatal(err)
-			}
+// TestPoolAllocSkipsCoveredSupernet pins the allocation sequence with
+// 10.0.0.0/8 reserved to the one a Pool gets whose supernets leave 10/8
+// out: 64 /31s, all from 172.16.0.0/12. Walking the reserved /8 one
+// candidate at a time would test 2^23 candidates per allocation.
+func TestPoolAllocSkipsCoveredSupernet(t *testing.T) {
+	covered := NewPool([]netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}, nil)
+	rest := NewPool(nil, DefaultSupernets()[1:])
+	for k := 0; k < 64; k++ {
+		got, gerr := covered.Alloc(31)
+		want, werr := rest.Alloc(31)
+		if got != want || gerr != nil || werr != nil {
+			t.Fatalf("allocation %d: %v (%v) with 10/8 reserved, %v (%v) without 10/8", k, got, gerr, want, werr)
 		}
+	}
+}
+
+// BenchmarkPoolAlloc allocates address blocks the way the pipeline does:
+// 256 /24 LANs over 2,000 reserved /31 link prefixes, the shape of adding
+// twin hosts to a large network; and 64 /31 links with 10.0.0.0/8
+// reserved whole, as a network with a 10/8 static route or prefix-list
+// entry reserves it.
+func BenchmarkPoolAlloc(b *testing.B) {
+	var links []netip.Prefix
+	for i := 0; i < 2000; i++ {
+		links = append(links, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 7), byte(i << 1), 0}), 31))
+	}
+	cases := []struct {
+		name    string
+		used    []netip.Prefix
+		n, bits int
+	}{
+		{"lans", links, 256, 24},
+		{"covered-supernet", []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}, 64, 31},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := NewPool(c.used, nil)
+				for k := 0; k < c.n; k++ {
+					if _, err := p.Alloc(c.bits); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -31,8 +31,10 @@ type Options struct {
 // Engine answers verification queries over a simulated snapshot. All
 // answers are served from the snapshot's per-destination path engines,
 // which read each destination's successor graph from the route columns
-// and cache each source's walked path list, so a repeated pair is never walked again and
-// a warmed engine answers batches in cache-lookup time.
+// and cache each source's walked listing (sim.Listing), so a repeated
+// pair is never walked again and a warmed engine answers batches in
+// cache-lookup time. Every predicate reads listings in place: answering
+// a query names no hop.
 type Engine struct {
 	snap      *sim.Snapshot
 	base      *sim.Snapshot
@@ -164,62 +166,49 @@ func (e *Engine) eval(ctx context.Context, idx int, q Query) Result {
 	}
 	switch q.Kind {
 	case Reachability:
-		ps := e.snap.TraceFrom(q.Src, q.Dst)
-		r.Status, r.Delivered = classify(ps)
-		r.Paths = len(ps)
+		l := e.snap.ListFrom(q.Src, q.Dst)
+		r.Status, r.Delivered = classify(l)
+		r.Paths = l.Len()
 		r.Holds = r.Delivered > 0
 	case Isolation:
-		ps := e.snap.TraceFrom(q.Src, q.Dst)
-		r.Status, r.Delivered = classify(ps)
-		r.Paths = len(ps)
+		l := e.snap.ListFrom(q.Src, q.Dst)
+		r.Status, r.Delivered = classify(l)
+		r.Paths = l.Len()
 		r.Holds = r.Delivered == 0
 	case Waypoint:
-		ps := e.snap.TraceFrom(q.Src, q.Dst)
-		r.Status, r.Delivered = classify(ps)
-		r.Paths = len(ps)
+		l := e.snap.ListFrom(q.Src, q.Dst)
+		r.Status, r.Delivered = classify(l)
+		r.Paths = l.Len()
 		r.Holds = r.Delivered > 0
-		for _, p := range ps {
-			if p.Status != sim.Delivered {
-				continue
-			}
-			through := false
-			for _, h := range p.Hops {
-				if h == q.Via {
-					through = true
-					break
-				}
-			}
-			if !through {
-				r.Holds = false
-				break
-			}
+		for i := 0; i < l.Len() && r.Holds; i++ {
+			r.Holds = l.Status(i) != sim.Delivered || l.Passes(i, q.Via)
 		}
 	case PathDiff:
-		anon := e.snap.TraceFrom(q.Src, q.Dst)
+		anon := e.snap.ListFrom(q.Src, q.Dst)
 		if err := ctx.Err(); err != nil {
 			r.Error = "query aborted: " + err.Error()
 			return r
 		}
-		orig := e.base.TraceFrom(q.Src, q.Dst)
+		orig := e.base.ListFrom(q.Src, q.Dst)
 		r.Status, r.Delivered = classify(anon)
-		r.Paths = len(anon)
-		r.Holds = samePathSets(orig, anon)
+		r.Paths = anon.Len()
+		r.Holds = orig.Equal(anon)
 	case WhatIf:
 		f, err := q.failure()
 		if err != nil {
 			r.Error = err.Error()
 			return r
 		}
-		baseline := e.snap.TraceFrom(q.Src, q.Dst)
+		baseline := e.snap.ListFrom(q.Src, q.Dst)
 		if err := ctx.Err(); err != nil {
 			r.Error = "query aborted: " + err.Error()
 			return r
 		}
-		ps := e.snap.TraceUnderFailure(q.Src, q.Dst, f)
-		r.Status, r.Delivered = classify(ps)
-		r.Paths = len(ps)
+		l := e.snap.ListUnderFailure(q.Src, q.Dst, f)
+		r.Status, r.Delivered = classify(l)
+		r.Paths = l.Len()
 		r.Holds = r.Delivered > 0
-		r.Changed = !samePathSets(baseline, ps)
+		r.Changed = !baseline.Equal(l)
 	}
 	return r
 }

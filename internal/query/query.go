@@ -16,7 +16,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"confmask/internal/sim"
@@ -94,14 +93,15 @@ type Result struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// classify summarizes a canonical path set.
-func classify(ps []sim.Path) (status string, delivered int) {
-	if len(ps) == 0 {
+// classify summarizes a canonical path listing.
+func classify(l sim.Listing) (status string, delivered int) {
+	n := l.Len()
+	if n == 0 {
 		return "none", 0
 	}
 	counts := [3]int{}
-	for _, p := range ps {
-		switch p.Status {
+	for i := 0; i < n; i++ {
+		switch l.Status(i) {
 		case sim.Delivered:
 			counts[0]++
 		case sim.Looped:
@@ -111,21 +111,13 @@ func classify(ps []sim.Path) (status string, delivered int) {
 		}
 	}
 	switch {
-	case counts[0] == len(ps):
+	case counts[0] == n:
 		return "delivered", counts[0]
-	case counts[1] == len(ps):
+	case counts[1] == n:
 		return "looped", 0
-	case counts[2] == len(ps):
+	case counts[2] == n:
 		return "blackholed", 0
 	default:
 		return "mixed", counts[0]
 	}
-}
-
-// samePathSets reports whether two canonical (sorted) path lists are
-// identical, comparing statuses and hops element-wise.
-func samePathSets(a, b []sim.Path) bool {
-	return slices.EqualFunc(a, b, func(p, q sim.Path) bool {
-		return p.Status == q.Status && slices.Equal(p.Hops, q.Hops)
-	})
 }

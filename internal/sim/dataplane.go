@@ -14,15 +14,16 @@ import (
 // the devices form a successor graph toward that destination. The engine
 // answers two kinds of question over that graph:
 //
-//   - Path listings and their fingerprints (TraceFrom, TraceUnderFailure,
+//   - Path listings and their fingerprints (ListFrom, ListUnderFailure,
 //     PairDigestsFor and DiffForwarding's fallback). walk, below, is the
 //     one copy of the forwarding semantics: ECMP branch order, the
 //     maxTracePaths cap, the maxTraceDepth bound and the Delivered /
 //     Looped / BlackHoled classification. It records hop indices; the
-//     walker sorts them into canonical order and either names them (a
-//     path listing) or hashes them (a fingerprint, with no path built).
-//     Each source's sorted listing is cached on the engine, so a source
-//     is walked at most once per destination. The tests pin the walker
+//     walker sorts them into canonical order and either packs them into
+//     a Listing or hashes them (a fingerprint, with no path built). Each
+//     source's Listing is cached on the engine, so a source is walked at
+//     most once per destination; a hop is named only when TraceFrom or
+//     TraceUnderFailure names a Listing. The tests pin the walker
 //     against a naive reimplementation on the evaluation networks, on
 //     randomized topologies with injected loops and black holes, and
 //     across the path cap, and its order and fingerprints against
@@ -153,11 +154,13 @@ type destEngine struct {
 	extra    []string
 	extraIdx map[string]int32
 	w        walker
-	// bySrc caches each source's canonically sorted paths.
-	bySrc map[string][]Path
-	// failRes caches finished what-if traces per (failure, src); see
-	// whatif.go.
-	failRes map[string][]Path
+	// bySrc caches each source's listing, failRes each what-if listing
+	// per (failure, source); see whatif.go.
+	bySrc   map[string]Listing
+	failRes map[failKey]Listing
+	// seen and todo are failureReaches' buffers.
+	seen []bool
+	todo []int32
 }
 
 // Devices returns every configured device name in the Snapshot's dense
@@ -217,37 +220,30 @@ func (s *Snapshot) traceWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pathsFor returns the canonical path set from src toward the engine's
+// listLocked returns the canonical listing from src toward the engine's
 // destination: walked and sorted at most once per source, then served
-// from bySrc.
-func (e *destEngine) pathsFor(src string) []Path {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pathsForLocked(src)
-}
-
-// pathsForLocked is pathsFor for callers already holding mu.
-func (e *destEngine) pathsForLocked(src string) []Path {
-	if ps, ok := e.bySrc[src]; ok {
-		return ps
+// from bySrc. Callers hold mu.
+func (e *destEngine) listLocked(src string) Listing {
+	if l, ok := e.bySrc[src]; ok {
+		return l
 	}
 	if !e.built {
 		e.build()
 	}
-	ps := e.trace(e.indexOf(src), Failure{})
+	l := e.list(e.indexOf(src), noFailure)
 	if e.bySrc == nil {
-		e.bySrc = make(map[string][]Path)
+		e.bySrc = make(map[string]Listing)
 	}
-	e.bySrc[src] = ps
-	return ps
+	e.bySrc[src] = l
+	return l
 }
 
-// trace walks start under f and returns the canonical path list. Callers
-// hold mu, with the engine built.
-func (e *destEngine) trace(start int32, f Failure) []Path {
+// list walks start under f and returns the sorted walk as a Listing.
+// Callers hold mu, with the engine built.
+func (e *destEngine) list(start int32, f failNodes) Listing {
 	w := e.walk(start, f)
 	w.sort()
-	return w.result()
+	return w.listing()
 }
 
 // digestFor returns only the fingerprint of the canonical path set from
@@ -265,7 +261,7 @@ func (e *destEngine) digestFor(src string) Digest {
 	if !e.built {
 		e.build()
 	}
-	w := e.walk(e.indexOf(src), Failure{})
+	w := e.walk(e.indexOf(src), noFailure)
 	w.sort()
 	return w.digest()
 }
@@ -320,7 +316,7 @@ func (e *destEngine) node(nh NextHop) int32 {
 	return nh.Dev
 }
 
-// name returns node i's device name.
+// name returns node i's device name. Callers hold mu.
 func (e *destEngine) name(i int32) string {
 	switch {
 	case i < e.ndev:
@@ -332,19 +328,49 @@ func (e *destEngine) name(i int32) string {
 	}
 }
 
+// nodeName is name for callers not holding mu, such as a Listing's
+// methods: an out-of-config start's name is read under mu, since indexOf
+// may be appending to extra.
+func (e *destEngine) nodeName(i int32) string {
+	if i <= e.ndev {
+		return e.name(i)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.name(i)
+}
+
+// nodeOf returns the node named dev, if the engine has one, for callers
+// not holding mu; out-of-config devices are looked up under mu.
+func (e *destEngine) nodeOf(dev string) (int32, bool) {
+	if i, ok := e.configured(dev); ok {
+		return i, true
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i, ok := e.extraIdx[dev]
+	return i, ok
+}
+
+// configured returns the node of a configured device or of the discard
+// node, which need no lock: neither changes once the engine is built.
+func (e *destEngine) configured(dev string) (int32, bool) {
+	if i, ok := e.snap.tab.devIdx[dev]; ok {
+		return i, true
+	}
+	return e.ndev, dev == DiscardDevice
+}
+
 // size returns the number of nodes.
 func (e *destEngine) size() int { return int(e.ndev) + 1 + len(e.extra) }
 
-// indexOf returns the node of a trace's start device, registering a
-// device outside the configured set as a new node, which the walker
-// treats as a black hole: it has no routes. Callers hold mu, with the
-// engine built.
+// indexOf returns the node of a trace's start device or a failed device,
+// registering a device outside the configured set as a new node, which
+// the walker treats as a black hole: it has no routes, and no transition
+// leads to it. Callers hold mu, with the engine built.
 func (e *destEngine) indexOf(dev string) int32 {
-	if i, ok := e.snap.tab.devIdx[dev]; ok {
+	if i, ok := e.configured(dev); ok {
 		return i
-	}
-	if dev == DiscardDevice {
-		return e.ndev
 	}
 	if i, ok := e.extraIdx[dev]; ok {
 		return i
@@ -382,10 +408,10 @@ type walkedPath struct {
 
 // walker is the state and the output of one walk; see walk. Each engine
 // keeps one and reuses its buffers from walk to walk, so a walk records
-// hop indices only: result turns them into names, digest hashes them.
+// hop indices only: listing copies them out, digest hashes them.
 type walker struct {
 	e       *destEngine
-	f       Failure
+	f       failNodes
 	onStack []bool
 	stack   []int32
 	hops    []int32
@@ -393,10 +419,10 @@ type walker struct {
 	key     []byte // digest's buffer
 }
 
-// walk walks the forwarding paths from start under failure f (zero:
-// none), in DFS order, into the engine's walker, which it returns; the
-// output stays valid until the next walk. It is the engine's one copy of
-// the forwarding semantics:
+// walk walks the forwarding paths from start under failure f
+// (noFailure: none), in DFS order, into the engine's walker, which it
+// returns; the output stays valid until the next walk. It is the
+// engine's one copy of the forwarding semantics:
 //
 //   - successors are explored depth-first in next-hop order, minus the
 //     transitions f prunes;
@@ -407,11 +433,11 @@ type walker struct {
 //   - only the first maxTracePaths paths in DFS order are emitted.
 //
 // Callers hold mu.
-func (e *destEngine) walk(start int32, f Failure) *walker {
+func (e *destEngine) walk(start int32, f failNodes) *walker {
 	w := &e.w
 	w.e, w.f = e, f
 	w.stack, w.hops, w.paths = w.stack[:0], w.hops[:0], w.paths[:0]
-	if f.Node != "" && e.name(start) == f.Node {
+	if f.failsNode(start) {
 		w.stack = append(w.stack, start)
 		w.emit(BlackHoled)
 		return w
@@ -442,7 +468,7 @@ func (w *walker) visit(cur int32) {
 		live := false
 		for _, nh := range nhs {
 			s := e.node(nh)
-			if !w.f.IsZero() && w.f.prunes(e.name(cur), e.name(s)) {
+			if w.f.prunes(cur, s) {
 				continue
 			}
 			live = true
@@ -520,21 +546,19 @@ func joinHops(e *destEngine, hops []int32) string {
 	return strings.Join(parts, ">")
 }
 
-// result returns the walked paths, in their current order, as Paths
-// whose hop names share one backing array.
-func (w *walker) result() []Path {
-	if len(w.paths) == 0 {
-		return nil
-	}
-	names := make([]string, len(w.hops))
-	for i, h := range w.hops {
-		names[i] = w.e.name(h)
-	}
-	out := make([]Path, len(w.paths))
+// listing returns the walked paths, in their current order, as a Listing
+// of its own: their hops copied path after path into one exactly-sized
+// slice, so a cached Listing holds none of the walker's buffers.
+func (w *walker) listing() Listing {
+	hops := make([]int32, len(w.hops))
+	paths := make([]walkedPath, len(w.paths))
+	n := int32(0)
 	for i, p := range w.paths {
-		out[i] = Path{Hops: names[p.start:p.end:p.end], Status: p.st}
+		copy(hops[n:], w.hops[p.start:p.end])
+		paths[i] = walkedPath{start: n, end: n + p.end - p.start, st: p.st}
+		n = paths[i].end
 	}
-	return out
+	return Listing{e: w.e, hops: hops, paths: paths}
 }
 
 // digest returns the fingerprint of the sorted walk: the hash of its
@@ -564,7 +588,7 @@ func (w *walker) digest() Digest {
 // the reference the walker's own sort and digest are tested against. The
 // sorted keys are hashed through one exactly-sized transient buffer
 // instead of being joined into a retained string. The input slice is not
-// reordered: the tests pass the cached slices TraceFrom hands out.
+// reordered.
 func sortPathsByKey(ps []Path) ([]Path, Digest) {
 	if len(ps) == 0 {
 		return ps, Digest{}

@@ -73,6 +73,17 @@ func (s *Snapshot) traceNaive(start, dst string, f Failure) []Path {
 	return out
 }
 
+// prunes is the oracle's failure rule, by name: whether the failure
+// removes the transition cur→next. A failed node swallows every
+// transition into it; a failed link removes the transitions between its
+// endpoints in both directions.
+func (f Failure) prunes(cur, next string) bool {
+	if f.Node != "" {
+		return next == f.Node
+	}
+	return (cur == f.LinkA && next == f.LinkB) || (cur == f.LinkB && next == f.LinkA)
+}
+
 // reachNaive is the reachability oracle for DeliveredFrom: a by-name DFS
 // with a visited set over the same route reads as traceNaive (the exact
 // destination prefix, else a FIB lookup), sharing no code with the

@@ -12,12 +12,14 @@ import "fmt"
 // target, and it is exactly what lets the query engine serve these from
 // the cached per-destination engines instead of re-simulating.
 //
-// A source whose successor graph cannot reach the failed element is
-// provably unaffected; its cached (no-failure) path set is reused
-// verbatim. Only sources that can reach the failure are re-walked, with
-// the pruned edges skipped. The Snapshot counts both outcomes so callers
-// (and the acceptance tests) can assert that what-if batches re-trace only
-// dirty work.
+// A query resolves the failed element to the engine's node indices once,
+// so pruning a transition compares indices, not names. A source whose
+// successor graph cannot reach the failed element is provably
+// unaffected; its cached (no-failure) listing is reused verbatim. Only
+// sources that can reach the failure are re-walked, with the pruned edges
+// skipped. The Snapshot counts both outcomes so callers (and the
+// acceptance tests) can assert that what-if batches re-trace only dirty
+// work.
 
 // Failure is a single failed element: exactly one of a node (router or
 // host, by device name) or an undirected link (both endpoint device
@@ -55,27 +57,42 @@ func (f Failure) String() string {
 	return "link(" + f.LinkA + "<->" + f.LinkB + ")"
 }
 
-// cacheKey is the canonical per-engine cache key; link endpoints are
-// order-insensitive.
-func (f Failure) cacheKey() string {
-	if f.Node != "" {
-		return "n\x00" + f.Node
-	}
-	a, b := f.LinkA, f.LinkB
-	if b < a {
-		a, b = b, a
-	}
-	return "l\x00" + a + "\x00" + b
-}
+// failNodes is a Failure resolved to one engine's nodes: the failed node
+// a (b < 0), or a failed link's endpoints a ≤ b. noFailure prunes
+// nothing.
+type failNodes struct{ a, b int32 }
+
+var noFailure = failNodes{-1, -1}
+
+// failsNode reports whether node n is the failed node.
+func (f failNodes) failsNode(n int32) bool { return f.b < 0 && n == f.a }
 
 // prunes reports whether the failure removes the transition cur→next.
 // A failed node swallows every transition into it; a failed link removes
 // the transitions between its endpoints in both directions.
-func (f Failure) prunes(cur, next string) bool {
-	if f.Node != "" {
-		return next == f.Node
+func (f failNodes) prunes(cur, next int32) bool {
+	if f.b < 0 {
+		return next == f.a
 	}
-	return (cur == f.LinkA && next == f.LinkB) || (cur == f.LinkB && next == f.LinkA)
+	return cur == f.a && next == f.b || cur == f.b && next == f.a
+}
+
+// failKey keys an engine's what-if listings: link endpoints are ordered,
+// so either spelling of a link failure finds one entry.
+type failKey struct {
+	f   failNodes
+	src int32
+}
+
+// resolve returns f's nodes, registering a failed device the engine has
+// no node for as indexOf does; no transition leads to such a node, so
+// failing it prunes nothing. Callers hold mu, with the engine built.
+func (e *destEngine) resolve(f Failure) failNodes {
+	if f.Node != "" {
+		return failNodes{e.indexOf(f.Node), -1}
+	}
+	a, b := e.indexOf(f.LinkA), e.indexOf(f.LinkB)
+	return failNodes{min(a, b), max(a, b)}
 }
 
 // TraceUnderFailure walks the FIBs from start toward host dst with a
@@ -89,18 +106,24 @@ func (f Failure) prunes(cur, next string) bool {
 //     failed node the result is the single path [start] black-holed;
 //   - loop and depth truncation are unchanged.
 //
-// A zero failure degrades to TraceFrom. Results are cached per
-// (failure, start) on the destination engine; callers must treat the
-// returned paths as read-only.
+// A zero failure degrades to TraceFrom. It names ListUnderFailure's
+// listing afresh on each call, so the caller owns the slices.
 func (s *Snapshot) TraceUnderFailure(start, dst string, f Failure) []Path {
+	return s.ListUnderFailure(start, dst, f).Paths()
+}
+
+// ListUnderFailure is ListFrom under a single failed element, the listing
+// TraceUnderFailure names. Listings are cached per (failure, start) on
+// the destination engine.
+func (s *Snapshot) ListUnderFailure(start, dst string, f Failure) Listing {
 	if f.IsZero() {
-		return s.TraceFrom(start, dst)
+		return s.ListFrom(start, dst)
 	}
 	e := s.engineFor(dst)
 	if e == nil {
-		return nil
+		return Listing{}
 	}
-	return e.pathsUnderFailure(start, f)
+	return e.listUnderFailure(start, f)
 }
 
 // WhatIfStats returns how many what-if traces were served by re-walking a
@@ -112,61 +135,69 @@ func (s *Snapshot) WhatIfStats() (retraced, reused int64) {
 	return s.whatIfRetraced.Load(), s.whatIfReused.Load()
 }
 
-// pathsUnderFailure is pathsFor under a failure: reuse the no-failure
-// result when the failure is unreachable from src in the successor graph,
-// otherwise run the pruned walk. Results are cached per (failure, src).
-func (e *destEngine) pathsUnderFailure(src string, f Failure) []Path {
+// listUnderFailure is listLocked under a failure: reuse the no-failure
+// listing when the failure is unreachable from src in the successor
+// graph, otherwise run the pruned walk. Listings are cached per
+// (failure, src).
+func (e *destEngine) listUnderFailure(src string, f Failure) Listing {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := f.cacheKey() + "\x00" + src
-	if ps, ok := e.failRes[key]; ok {
-		return ps
-	}
 	if !e.built {
 		e.build()
 	}
 	i := e.indexOf(src)
-	var ps []Path
-	if !e.failureReaches(i, f) {
-		ps = e.pathsForLocked(src)
+	fn := e.resolve(f)
+	key := failKey{fn, i}
+	if l, ok := e.failRes[key]; ok {
+		return l
+	}
+	var l Listing
+	if !e.failureReaches(i, fn) {
+		l = e.listLocked(src)
 		e.snap.whatIfReused.Add(1)
 	} else {
-		ps = e.trace(i, f)
+		l = e.list(i, fn)
 		e.snap.whatIfRetraced.Add(1)
 	}
 	if e.failRes == nil {
-		e.failRes = make(map[string][]Path)
+		e.failRes = make(map[failKey]Listing)
 	}
-	e.failRes[key] = ps
-	return ps
+	e.failRes[key] = l
+	return l
 }
 
 // failureReaches reports whether the successor graph from start can
 // encounter the failed element. It over-approximates (ignores depth and
 // path caps), which is sound: a false return guarantees the pruned walk
 // would equal the unpruned one. Callers hold mu.
-func (e *destEngine) failureReaches(start int32, f Failure) bool {
-	if f.Node != "" && e.name(start) == f.Node {
+func (e *destEngine) failureReaches(start int32, f failNodes) bool {
+	if f.failsNode(start) {
 		return true
 	}
-	seen := make([]bool, e.size())
-	stack := []int32{start}
-	seen[start] = true
-	for len(stack) > 0 {
+	if n := e.size(); len(e.seen) < n {
+		e.seen = make([]bool, n)
+	} else {
+		clear(e.seen)
+	}
+	e.seen[start] = true
+	stack := append(e.todo[:0], start)
+	reached := false
+	for len(stack) > 0 && !reached {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		name := e.name(cur)
 		_, nhs := e.hops(cur)
 		for _, nh := range nhs {
 			s := e.node(nh)
-			if f.prunes(name, e.name(s)) {
-				return true
+			if f.prunes(cur, s) {
+				reached = true
+				break
 			}
-			if !seen[s] {
-				seen[s] = true
+			if !e.seen[s] {
+				e.seen[s] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	return false
+	e.todo = stack[:0]
+	return reached
 }
