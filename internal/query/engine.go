@@ -36,39 +36,20 @@ type Options struct {
 // cache-lookup time. Every predicate reads listings in place: answering
 // a query names no hop.
 type Engine struct {
-	snap      *sim.Snapshot
-	base      *sim.Snapshot
-	hosts     map[string]bool
-	baseHosts map[string]bool
-	workers   int
-	timeout   time.Duration
-	queries   atomic.Int64
+	snap    *sim.Snapshot
+	base    *sim.Snapshot
+	workers int
+	timeout time.Duration
+	queries atomic.Int64
 }
 
 // New builds an engine over snap.
 func New(snap *sim.Snapshot, opts Options) *Engine {
-	hostSet := func(s *sim.Snapshot) map[string]bool {
-		if s == nil {
-			return nil
-		}
-		m := make(map[string]bool)
-		for _, h := range s.Hosts() {
-			m[h] = true
-		}
-		return m
-	}
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		snap:      snap,
-		base:      opts.Baseline,
-		hosts:     hostSet(snap),
-		baseHosts: hostSet(opts.Baseline),
-		workers:   w,
-		timeout:   opts.Timeout,
-	}
+	return &Engine{snap: snap, base: opts.Baseline, workers: w, timeout: opts.Timeout}
 }
 
 // FromConfigs parses a rendered configuration set (Cisco-IOS-style or
@@ -117,6 +98,7 @@ func (e *Engine) Stats() Stats {
 // index-addressed slots. Per-query failures (unknown device, malformed
 // failure, timeout) land in Result.Error; Run itself never fails.
 func (e *Engine) Run(ctx context.Context, qs []Query) []Result {
+	e.queries.Add(int64(len(qs)))
 	out := make([]Result, len(qs))
 	workers := e.workers
 	if workers > len(qs) {
@@ -124,7 +106,7 @@ func (e *Engine) Run(ctx context.Context, qs []Query) []Result {
 	}
 	if workers <= 1 {
 		for i := range qs {
-			out[i] = e.eval(ctx, i, qs[i])
+			out[i] = e.eval(ctx, i, &qs[i])
 		}
 		return out
 	}
@@ -139,7 +121,7 @@ func (e *Engine) Run(ctx context.Context, qs []Query) []Result {
 				if i >= len(qs) {
 					return
 				}
-				out[i] = e.eval(ctx, i, qs[i])
+				out[i] = e.eval(ctx, i, &qs[i])
 			}
 		}()
 	}
@@ -147,64 +129,59 @@ func (e *Engine) Run(ctx context.Context, qs []Query) []Result {
 	return out
 }
 
-// eval answers one query.
-func (e *Engine) eval(ctx context.Context, idx int, q Query) Result {
-	e.queries.Add(1)
-	r := Result{Index: idx, ID: q.ID, Kind: q.Kind}
+// eval answers one query. Its budget is a deadline, Timeout after the
+// query starts, read against the monotonic clock wherever the query may
+// stop: after validation, and between the two listings pathdiff and
+// what-if read. So a query arms no timer, and the batch context is
+// checked at the same points.
+func (e *Engine) eval(ctx context.Context, idx int, q *Query) Result {
+	var deadline time.Duration
 	if e.timeout != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.timeout)
-		defer cancel()
+		deadline = time.Since(epoch) + e.timeout
 	}
-	if err := e.validate(q); err != nil {
+	r := Result{Index: idx, ID: q.ID, Kind: q.Kind}
+	t, err := e.resolve(q)
+	if err != nil {
 		r.Error = err.Error()
 		return r
 	}
-	if err := ctx.Err(); err != nil {
+	if err := e.aborted(ctx, deadline); err != nil {
 		r.Error = "query aborted: " + err.Error()
 		return r
 	}
 	switch q.Kind {
 	case Reachability:
-		l := e.snap.ListFrom(q.Src, q.Dst)
+		l := t.dst.List(t.src)
 		r.Status, r.Delivered = classify(l)
 		r.Paths = l.Len()
 		r.Holds = r.Delivered > 0
 	case Isolation:
-		l := e.snap.ListFrom(q.Src, q.Dst)
+		l := t.dst.List(t.src)
 		r.Status, r.Delivered = classify(l)
 		r.Paths = l.Len()
 		r.Holds = r.Delivered == 0
 	case Waypoint:
-		l := e.snap.ListFrom(q.Src, q.Dst)
+		l := t.dst.List(t.src)
 		r.Status, r.Delivered = classify(l)
 		r.Paths = l.Len()
-		r.Holds = r.Delivered > 0
-		for i := 0; i < l.Len() && r.Holds; i++ {
-			r.Holds = l.Status(i) != sim.Delivered || l.Passes(i, q.Via)
-		}
+		r.Holds = r.Delivered > 0 && l.DeliveredVia(t.via)
 	case PathDiff:
-		anon := e.snap.ListFrom(q.Src, q.Dst)
-		if err := ctx.Err(); err != nil {
+		anon := t.dst.List(t.src)
+		if err := e.aborted(ctx, deadline); err != nil {
 			r.Error = "query aborted: " + err.Error()
 			return r
 		}
-		orig := e.base.ListFrom(q.Src, q.Dst)
+		orig := t.baseDst.List(t.baseSrc)
 		r.Status, r.Delivered = classify(anon)
 		r.Paths = anon.Len()
 		r.Holds = orig.Equal(anon)
 	case WhatIf:
-		f, err := q.failure()
-		if err != nil {
-			r.Error = err.Error()
-			return r
-		}
-		baseline := e.snap.ListFrom(q.Src, q.Dst)
-		if err := ctx.Err(); err != nil {
+		baseline := t.dst.List(t.src)
+		if err := e.aborted(ctx, deadline); err != nil {
 			r.Error = "query aborted: " + err.Error()
 			return r
 		}
-		l := e.snap.ListUnderFailure(q.Src, q.Dst, f)
+		l := t.dst.ListUnderFailure(t.src, t.f)
 		r.Status, r.Delivered = classify(l)
 		r.Paths = l.Len()
 		r.Holds = r.Delivered > 0
@@ -213,54 +190,85 @@ func (e *Engine) eval(ctx context.Context, idx int, q Query) Result {
 	return r
 }
 
-// validate rejects malformed queries with per-query errors. Device
-// membership is checked against the snapshot's shared device table
-// (sim.Snapshot.HasDevice), never by probing FIBs.
-func (e *Engine) validate(q Query) error {
+// epoch is the origin of query deadlines: time.Since(epoch) reads the
+// monotonic clock alone, at half the cost of time.Now.
+var epoch = time.Now()
+
+// aborted returns why a query must stop, or nil: the batch context ended
+// (its error first, as a context derived from it would report), or the
+// query's deadline passed.
+func (e *Engine) aborted(ctx context.Context, deadline time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if e.timeout != 0 && time.Since(epoch) >= deadline {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// target is what validating a query resolved, which evaluation reads
+// instead of resolving again: its source (and via) device index and
+// destination in the snapshot, the same in the baseline for pathdiff, and
+// its parsed failure.
+type target struct {
+	src, via, baseSrc int32
+	dst, baseDst      sim.Dest
+	f                 sim.Failure
+}
+
+// resolve validates q, rejecting a malformed query with a per-query
+// error, and returns its target. Device membership is checked against
+// the snapshot's shared device table (sim.Snapshot.Device), never by
+// probing FIBs.
+func (e *Engine) resolve(q *Query) (target, error) {
+	var t target
 	switch q.Kind {
 	case Reachability, Waypoint, PathDiff, Isolation, WhatIf:
 	case "":
-		return errors.New("missing kind")
+		return t, errors.New("missing kind")
 	default:
-		return fmt.Errorf("unknown kind %q", q.Kind)
+		return t, fmt.Errorf("unknown kind %q", q.Kind)
 	}
 	if q.Src == "" || q.Dst == "" {
-		return errors.New("src and dst are required")
+		return t, errors.New("src and dst are required")
 	}
-	if !e.snap.HasDevice(q.Src) {
-		return fmt.Errorf("unknown src device %q", q.Src)
+	var ok bool
+	if t.src, ok = e.snap.Device(q.Src); !ok {
+		return t, fmt.Errorf("unknown src device %q", q.Src)
 	}
-	if !e.hosts[q.Dst] {
-		return fmt.Errorf("dst %q is not a host", q.Dst)
+	if t.dst, ok = e.snap.Dest(q.Dst); !ok {
+		return t, fmt.Errorf("dst %q is not a host", q.Dst)
 	}
 	switch q.Kind {
 	case Waypoint:
 		if q.Via == "" {
-			return errors.New("waypoint query needs via")
+			return t, errors.New("waypoint query needs via")
 		}
-		if !e.snap.HasDevice(q.Via) {
-			return fmt.Errorf("unknown via device %q", q.Via)
+		if t.via, ok = e.snap.Device(q.Via); !ok {
+			return t, fmt.Errorf("unknown via device %q", q.Via)
 		}
 	case PathDiff:
 		if e.base == nil {
-			return errors.New("pathdiff needs a baseline (original) snapshot")
+			return t, errors.New("pathdiff needs a baseline (original) snapshot")
 		}
-		if !e.base.HasDevice(q.Src) {
-			return fmt.Errorf("src %q not in the original network", q.Src)
+		if t.baseSrc, ok = e.base.Device(q.Src); !ok {
+			return t, fmt.Errorf("src %q not in the original network", q.Src)
 		}
-		if !e.baseHosts[q.Dst] {
-			return fmt.Errorf("dst %q not a host of the original network", q.Dst)
+		if t.baseDst, ok = e.base.Dest(q.Dst); !ok {
+			return t, fmt.Errorf("dst %q not a host of the original network", q.Dst)
 		}
 	case WhatIf:
 		f, err := q.failure()
 		if err != nil {
-			return err
+			return t, err
 		}
-		for _, dev := range []string{f.Node, f.LinkA, f.LinkB} {
+		for _, dev := range [...]string{f.Node, f.LinkA, f.LinkB} {
 			if dev != "" && !e.snap.HasDevice(dev) {
-				return fmt.Errorf("unknown failed device %q", dev)
+				return t, fmt.Errorf("unknown failed device %q", dev)
 			}
 		}
+		t.f = f
 	}
-	return nil
+	return t, nil
 }

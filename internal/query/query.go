@@ -93,31 +93,19 @@ type Result struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// classify summarizes a canonical path listing.
+// classify summarizes a canonical path listing from its outcome counts.
 func classify(l sim.Listing) (status string, delivered int) {
-	n := l.Len()
-	if n == 0 {
+	d, looped, blackholed := l.Counts()
+	switch n := l.Len(); {
+	case n == 0:
 		return "none", 0
-	}
-	counts := [3]int{}
-	for i := 0; i < n; i++ {
-		switch l.Status(i) {
-		case sim.Delivered:
-			counts[0]++
-		case sim.Looped:
-			counts[1]++
-		default:
-			counts[2]++
-		}
-	}
-	switch {
-	case counts[0] == n:
-		return "delivered", counts[0]
-	case counts[1] == n:
+	case d == n:
+		return "delivered", d
+	case looped == n:
 		return "looped", 0
-	case counts[2] == n:
+	case blackholed == n:
 		return "blackholed", 0
 	default:
-		return "mixed", counts[0]
+		return "mixed", d
 	}
 }

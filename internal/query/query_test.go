@@ -243,6 +243,26 @@ func TestQueryAbort(t *testing.T) {
 	if rs[0].Error == "" {
 		t.Fatalf("expired budget should error per query: %+v", rs[0])
 	}
+
+	// A request cancelled between the two 128-query chunks the daemon
+	// runs a 256-query batch in: the first chunk answers within its
+	// budget, and every query of the second reports the cancellation.
+	ctx, cancel = context.WithCancel(context.Background())
+	e := New(snap, Options{Timeout: time.Minute})
+	batch := mixedBatch(snap, 256, 5, false)
+	first := e.Run(ctx, batch[:128])
+	cancel()
+	second := e.Run(ctx, batch[128:])
+	for i, r := range first {
+		if r.Error != "" {
+			t.Fatalf("query %d before the cancellation errored: %+v", i, r)
+		}
+	}
+	for i, r := range second {
+		if r.Error != "query aborted: context canceled" {
+			t.Fatalf("query %d after the cancellation: %+v, want it aborted", 128+i, r)
+		}
+	}
 }
 
 // TestThousandPredicateBatchFatTree08 is the acceptance criterion: a

@@ -73,11 +73,8 @@ func (s *Snapshot) DeliveredFrom(dst string, srcs []string) []bool {
 	if e == nil {
 		return out
 	}
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
-	if !e.built {
-		e.build()
-	}
 	reach := e.reaching()
 	for i, src := range srcs {
 		if j, ok := s.tab.devIdx[src]; ok {
@@ -154,10 +151,14 @@ type destEngine struct {
 	extra    []string
 	extraIdx map[string]int32
 	w        walker
-	// bySrc caches each source's listing, failRes each what-if listing
-	// per (failure, source); see whatif.go.
-	bySrc   map[string]Listing
-	failRes map[failKey]Listing
+	// lists holds every listing the engine walked. bySrc[n] is one more
+	// than the index there of node n's listing (0: not walked yet), and
+	// failRes holds each what-if answer per (failure, source) as an
+	// index there: a retraced listing's own, or for a reuse the unfailed
+	// listing's (see whatif.go).
+	lists   []Listing
+	bySrc   []int32
+	failRes map[failKey]int32
 	// seen and todo are failureReaches' buffers.
 	seen []bool
 	todo []int32
@@ -182,17 +183,21 @@ func (s *Snapshot) Hosts() []string { return s.Net.Cfg.Hosts() }
 
 // engineFor returns the Snapshot's cached engine for dst, creating it on
 // first use; nil when dst is not a known host. The engine reads its
-// columns lazily, on the first trace, so creating engines is cheap.
+// columns lazily, on the first trace, so creating engines is cheap. Only
+// hosts get an entry, so names a caller merely asks about (a query's
+// misspelt destination) do not accumulate in the cache.
 func (s *Snapshot) engineFor(dst string) *destEngine {
 	s.destMu.Lock()
 	defer s.destMu.Unlock()
-	if s.destEngines == nil {
-		s.destEngines = make(map[string]*destEngine)
+	if e, ok := s.destEngines[dst]; ok {
+		return e
 	}
-	e, ok := s.destEngines[dst]
-	if !ok {
-		e = s.transientEngineFor(dst)
-		s.destEngines[dst] = e // nil for unknown destinations, cached too
+	e := s.transientEngineFor(dst)
+	if e != nil {
+		if s.destEngines == nil {
+			s.destEngines = make(map[string]*destEngine)
+		}
+		s.destEngines[dst] = e
 	}
 	return e
 }
@@ -220,22 +225,27 @@ func (s *Snapshot) traceWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// listLocked returns the canonical listing from src toward the engine's
-// destination: walked and sorted at most once per source, then served
-// from bySrc. Callers hold mu.
-func (e *destEngine) listLocked(src string) Listing {
-	if l, ok := e.bySrc[src]; ok {
-		return l
-	}
+// lock takes mu, building the engine on first use; callers unlock mu.
+func (e *destEngine) lock() {
+	e.mu.Lock()
 	if !e.built {
 		e.build()
 	}
-	l := e.list(e.indexOf(src), noFailure)
-	if e.bySrc == nil {
-		e.bySrc = make(map[string]Listing)
+}
+
+// listAt returns the index in lists of node i's canonical listing, walked
+// and sorted at most once per node. Callers hold mu, with the engine
+// built.
+func (e *destEngine) listAt(i int32) int32 {
+	if n := e.size(); len(e.bySrc) < n {
+		e.bySrc = append(e.bySrc, make([]int32, n-len(e.bySrc))...)
 	}
-	e.bySrc[src] = l
-	return l
+	if at := e.bySrc[i]; at > 0 {
+		return at - 1
+	}
+	e.lists = append(e.lists, e.list(i, noFailure))
+	e.bySrc[i] = int32(len(e.lists))
+	return e.bySrc[i] - 1
 }
 
 // list walks start under f and returns the sorted walk as a Listing.
@@ -256,11 +266,8 @@ func (e *destEngine) digestFor(src string) Digest {
 	if e == nil {
 		return Digest{}
 	}
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
-	if !e.built {
-		e.build()
-	}
 	w := e.walk(e.indexOf(src), noFailure)
 	w.sort()
 	return w.digest()
@@ -548,17 +555,23 @@ func joinHops(e *destEngine, hops []int32) string {
 
 // listing returns the walked paths, in their current order, as a Listing
 // of its own: their hops copied path after path into one exactly-sized
-// slice, so a cached Listing holds none of the walker's buffers.
+// slice, so a cached Listing holds none of the walker's buffers, and
+// their outcomes counted.
 func (w *walker) listing() Listing {
-	hops := make([]int32, len(w.hops))
-	paths := make([]walkedPath, len(w.paths))
+	l := Listing{e: w.e, hops: make([]int32, len(w.hops)), paths: make([]walkedPath, len(w.paths))}
 	n := int32(0)
 	for i, p := range w.paths {
-		copy(hops[n:], w.hops[p.start:p.end])
-		paths[i] = walkedPath{start: n, end: n + p.end - p.start, st: p.st}
-		n = paths[i].end
+		copy(l.hops[n:], w.hops[p.start:p.end])
+		l.paths[i] = walkedPath{start: n, end: n + p.end - p.start, st: p.st}
+		n = l.paths[i].end
+		switch p.st {
+		case Delivered:
+			l.delivered++
+		case Looped:
+			l.looped++
+		}
 	}
-	return Listing{e: w.e, hops: hops, paths: paths}
+	return l
 }
 
 // digest returns the fingerprint of the sorted walk: the hash of its

@@ -216,6 +216,8 @@ type Snapshot struct {
 	// no-failure result. See WhatIfStats.
 	whatIfRetraced atomic.Int64
 	whatIfReused   atomic.Int64
+	// lastMap is mapTo's cache.
+	lastMap atomic.Pointer[pairMap]
 }
 
 // Route returns device dev's FIB entry for exactly prefix p — no
@@ -306,6 +308,25 @@ func MapDevices(from, to *Snapshot) DeviceMap {
 		}
 	}
 	return m
+}
+
+// mapTo returns MapDevices(s, o), built once per pair: s keeps the map of
+// the last Snapshot it was asked for, so comparing many listings against
+// one other Snapshot's, as pathdiff queries do, translates its table
+// once.
+func (s *Snapshot) mapTo(o *Snapshot) DeviceMap {
+	if c := s.lastMap.Load(); c != nil && c.to == o {
+		return c.m
+	}
+	c := &pairMap{to: o, m: MapDevices(s, o)}
+	s.lastMap.Store(c)
+	return c.m
+}
+
+// pairMap is a DeviceMap with the Snapshot it maps into.
+type pairMap struct {
+	to *Snapshot
+	m  DeviceMap
 }
 
 // Map returns the index in the other table of device dev of this one,

@@ -60,10 +60,19 @@ type Listing struct {
 	e     *destEngine
 	hops  []int32
 	paths []walkedPath // packed: path i's hops are hops[paths[i].start:paths[i].end]
+	// delivered and looped count the paths of each outcome, so Counts
+	// reads no path.
+	delivered, looped int32
 }
 
 // Len returns the number of paths.
 func (l Listing) Len() int { return len(l.paths) }
+
+// Counts returns how many paths are delivered, looped and black-holed.
+func (l Listing) Counts() (delivered, looped, blackholed int) {
+	d, lo := int(l.delivered), int(l.looped)
+	return d, lo, len(l.paths) - d - lo
+}
 
 // Status returns path i's outcome.
 func (l Listing) Status(i int) PathStatus { return l.paths[i].st }
@@ -76,11 +85,29 @@ func (l Listing) Passes(i int, dev string) bool {
 	return ok && slices.Contains(l.hops[p.start:p.end], n)
 }
 
+// DeliveredVia reports whether every delivered path passes the device of
+// index dev in the Snapshot's device table (see Passes); true when no
+// path is delivered.
+func (l Listing) DeliveredVia(dev int32) bool {
+	for _, p := range l.paths {
+		if p.st == Delivered && !slices.Contains(l.hops[p.start:p.end], dev) {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether l and o list the same paths: the same statuses
 // and the same hop names, path for path. o may come from another engine
 // or another Snapshot, whose device table numbers the devices (and so the
-// discard node) differently; there the hops are compared by name.
+// discard node) differently. There a configured device is compared by
+// index through the pair's DeviceMap (Snapshot.mapTo), the discard node
+// by position, and a node the map cannot translate, such as an
+// out-of-config start, by name.
 func (l Listing) Equal(o Listing) bool {
+	if len(l.paths) > 0 && len(o.paths) > 0 && &l.paths[0] == &o.paths[0] {
+		return true // one cached listing, such as a reused what-if answer
+	}
 	// Hops are packed in path order, so equal spans mean equal lengths.
 	if !slices.Equal(l.paths, o.paths) {
 		return false
@@ -88,8 +115,21 @@ func (l Listing) Equal(o Listing) bool {
 	if l.e == o.e {
 		return slices.Equal(l.hops, o.hops)
 	}
+	if len(l.hops) == 0 {
+		return true
+	}
+	m := l.e.snap.mapTo(o.e.snap)
 	for k, h := range l.hops {
-		if l.e.nodeName(h) != o.e.nodeName(o.hops[k]) {
+		oh := o.hops[k]
+		if h < l.e.ndev {
+			if j, ok := m.Map(h); ok && j == oh {
+				continue
+			}
+		} else if h == l.e.ndev && oh == o.e.ndev {
+			continue
+		}
+		// Untranslated, or not the same node: the names decide.
+		if l.e.nodeName(h) != o.e.nodeName(oh) {
 			return false
 		}
 	}
@@ -120,14 +160,33 @@ func (l Listing) Paths() []Path {
 // successor graph from the route columns and caches each source's
 // listing, so a repeated pair is not walked again.
 func (s *Snapshot) ListFrom(start, dst string) Listing {
-	e := s.engineFor(dst)
-	if e == nil {
-		return Listing{}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.listLocked(start)
+	return s.ListUnderFailure(start, dst, Failure{})
 }
+
+// Device returns the index of device name in the Snapshot's device table
+// (Devices), and whether the network configures name.
+func (s *Snapshot) Device(name string) (int32, bool) {
+	i, ok := s.tab.devIdx[name]
+	return i, ok
+}
+
+// Dest is a handle on one destination host's data-plane engine. Its
+// listings start from a configured device given by its index (Device),
+// so a caller that has resolved a query's names lists with no further
+// lookup. The zero Dest stands for an unknown destination and lists no
+// path.
+type Dest struct{ e *destEngine }
+
+// Dest returns the handle on host dst's engine, and whether dst is a host
+// of the network.
+func (s *Snapshot) Dest(dst string) (Dest, bool) {
+	e := s.engineFor(dst)
+	return Dest{e}, e != nil
+}
+
+// List is ListFrom toward d's destination from device dev, an index into
+// the Snapshot's device table.
+func (d Dest) List(dev int32) Listing { return d.ListUnderFailure(dev, Failure{}) }
 
 // TraceFrom returns ListFrom's listing named: every forwarding path from
 // start toward host dst, in canonical sorted order, nil for an unknown

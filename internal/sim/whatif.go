@@ -113,17 +113,27 @@ func (s *Snapshot) TraceUnderFailure(start, dst string, f Failure) []Path {
 }
 
 // ListUnderFailure is ListFrom under a single failed element, the listing
-// TraceUnderFailure names. Listings are cached per (failure, start) on
-// the destination engine.
+// TraceUnderFailure names; a zero failure lists as ListFrom. Listings are
+// cached per (failure, start) on the destination engine.
 func (s *Snapshot) ListUnderFailure(start, dst string, f Failure) Listing {
-	if f.IsZero() {
-		return s.ListFrom(start, dst)
-	}
 	e := s.engineFor(dst)
 	if e == nil {
 		return Listing{}
 	}
-	return e.listUnderFailure(start, f)
+	e.lock()
+	defer e.mu.Unlock()
+	return e.listUnder(e.indexOf(start), f)
+}
+
+// ListUnderFailure is List under a single failed element, as
+// Snapshot.ListUnderFailure lists it.
+func (d Dest) ListUnderFailure(dev int32, f Failure) Listing {
+	if d.e == nil {
+		return Listing{}
+	}
+	d.e.lock()
+	defer d.e.mu.Unlock()
+	return d.e.listUnder(dev, f)
 }
 
 // WhatIfStats returns how many what-if traces were served by re-walking a
@@ -135,35 +145,34 @@ func (s *Snapshot) WhatIfStats() (retraced, reused int64) {
 	return s.whatIfRetraced.Load(), s.whatIfReused.Load()
 }
 
-// listUnderFailure is listLocked under a failure: reuse the no-failure
-// listing when the failure is unreachable from src in the successor
-// graph, otherwise run the pruned walk. Listings are cached per
-// (failure, src).
-func (e *destEngine) listUnderFailure(src string, f Failure) Listing {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.built {
-		e.build()
+// listUnder returns node i's listing under f, the unfailed one (listAt)
+// for a zero failure. Under a failure it reuses the unfailed listing when
+// the failure is unreachable from i in the successor graph, and otherwise
+// runs the pruned walk. Each (failure, source) answer is kept in failRes
+// as an index into lists, so a reuse keeps no listing of its own, and a
+// repeated question is a lookup that counts as neither. Callers hold mu,
+// with the engine built.
+func (e *destEngine) listUnder(i int32, f Failure) Listing {
+	if f.IsZero() {
+		return e.lists[e.listAt(i)]
 	}
-	i := e.indexOf(src)
-	fn := e.resolve(f)
-	key := failKey{fn, i}
-	if l, ok := e.failRes[key]; ok {
-		return l
-	}
-	var l Listing
-	if !e.failureReaches(i, fn) {
-		l = e.listLocked(src)
-		e.snap.whatIfReused.Add(1)
-	} else {
-		l = e.list(i, fn)
-		e.snap.whatIfRetraced.Add(1)
+	key := failKey{e.resolve(f), i}
+	if at, ok := e.failRes[key]; ok {
+		return e.lists[at]
 	}
 	if e.failRes == nil {
-		e.failRes = make(map[failKey]Listing)
+		e.failRes = make(map[failKey]int32)
 	}
-	e.failRes[key] = l
-	return l
+	if !e.failureReaches(i, key.f) {
+		e.snap.whatIfReused.Add(1)
+		at := e.listAt(i)
+		e.failRes[key] = at
+		return e.lists[at]
+	}
+	e.snap.whatIfRetraced.Add(1)
+	e.lists = append(e.lists, e.list(i, key.f))
+	e.failRes[key] = int32(len(e.lists) - 1)
+	return e.lists[len(e.lists)-1]
 }
 
 // failureReaches reports whether the successor graph from start can
