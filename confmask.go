@@ -177,22 +177,10 @@ type Report struct {
 	StageAlloc map[string]uint64
 }
 
-// parseAny parses configurations in either supported syntax, auto-detected
-// per input set (mixed-syntax sets are keyed off the first file).
+// parseAny parses configurations in either supported syntax, detected
+// off the first file in label order (see config.ParseAny).
 func parseAny(configs map[string]string) (*config.Network, string, error) {
-	syntax := "ios"
-	for _, text := range configs {
-		syntax = config.DetectSyntax(text)
-		break
-	}
-	var net *config.Network
-	var err error
-	if syntax == "junos" {
-		net, err = config.ParseJunosNetwork(configs)
-	} else {
-		net, err = config.ParseNetwork(configs)
-	}
-	return net, syntax, err
+	return config.ParseAny(configs)
 }
 
 func renderAs(net *config.Network, syntax string) map[string]string {
@@ -345,14 +333,8 @@ func Inspect(configs map[string]string) (*Info, error) {
 	protos := map[string]bool{}
 	for _, r := range net.Routers() {
 		d := net.Device(r)
-		if d.OSPF != nil {
-			protos["ospf"] = true
-		}
-		if d.RIP != nil {
-			protos["rip"] = true
-		}
-		if d.EIGRP != nil {
-			protos["eigrp"] = true
+		for _, g := range d.IGPs() {
+			protos[g.Proto.String()] = true
 		}
 		if d.BGP != nil {
 			protos["bgp"] = true

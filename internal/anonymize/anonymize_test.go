@@ -345,55 +345,65 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestApplyPII rewrites an OSPF, a RIP and an EIGRP network: every device
+// is renamed, and every host pair keeps its path listing, hop for hop
+// through the returned name map, so the rewritten network statements
+// still cover the rewritten interface addresses.
 func TestApplyPII(t *testing.T) {
-	cfg := ospfNet(t)
-	anon, names := ApplyPII(cfg, []byte("secret-key"))
-	if len(names) != len(cfg.Devices) {
-		t.Fatalf("name map size %d", len(names))
-	}
-	// Same device count, all renamed.
-	if len(anon.Devices) != len(cfg.Devices) {
-		t.Fatalf("device count changed")
-	}
-	for old, new_ := range names {
-		if anon.Device(new_) == nil {
-			t.Fatalf("renamed device %s→%s missing", old, new_)
-		}
-		if old == new_ {
-			t.Fatalf("device %s not renamed", old)
-		}
-	}
-	// The rewritten network must still simulate with an isomorphic data
-	// plane: same number of delivered paths per renamed pair.
-	s1, err := sim.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := sim.Simulate(anon)
-	if err != nil {
-		t.Fatalf("anonymized network fails to simulate: %v", err)
-	}
-	for _, src := range cfg.Hosts() {
-		for _, dst := range cfg.Hosts() {
-			if src == dst {
-				continue
+	for _, tc := range []struct {
+		name string
+		cfg  *config.Network
+	}{{"ospf", ospfNet(t)}, {"rip", ripNet(t)}, {"eigrp", eigrpNet(t)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			anon, names := ApplyPII(cfg, []byte("secret-key"))
+			if len(names) != len(cfg.Devices) {
+				t.Fatalf("name map size %d", len(names))
 			}
-			p1 := s1.TraceFrom(src, dst)
-			p2 := s2.TraceFrom(names[src], names[dst])
-			if len(p1) != len(p2) {
-				t.Fatalf("path count differs for %s→%s: %d vs %d", src, dst, len(p1), len(p2))
+			// Same device count, all renamed.
+			if len(anon.Devices) != len(cfg.Devices) {
+				t.Fatalf("device count changed")
 			}
-			for i := range p1 {
-				if p1[i].Status != p2[i].Status || len(p1[i].Hops) != len(p2[i].Hops) {
-					t.Fatalf("path shape differs for %s→%s", src, dst)
+			for old, new_ := range names {
+				if anon.Device(new_) == nil {
+					t.Fatalf("renamed device %s→%s missing", old, new_)
 				}
-				for j, hop := range p1[i].Hops {
-					if names[hop] != p2[i].Hops[j] {
-						t.Fatalf("hop mismatch %s→%s: %v vs %v", src, dst, p1[i].Hops, p2[i].Hops)
+				if old == new_ {
+					t.Fatalf("device %s not renamed", old)
+				}
+			}
+			s1, err := sim.Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := sim.Simulate(anon)
+			if err != nil {
+				t.Fatalf("anonymized network fails to simulate: %v", err)
+			}
+			for _, src := range cfg.Hosts() {
+				for _, dst := range cfg.Hosts() {
+					if src == dst {
+						continue
+					}
+					p1 := s1.TraceFrom(src, dst)
+					p2 := s2.TraceFrom(names[src], names[dst])
+					if len(p1) != len(p2) {
+						t.Fatalf("path count differs for %s→%s: %d vs %d", src, dst, len(p1), len(p2))
+					}
+					for i := range p1 {
+						if p1[i].Status != p2[i].Status || len(p1[i].Hops) != len(p2[i].Hops) {
+							t.Fatalf("path shape differs for %s→%s: %v %v vs %v %v",
+								src, dst, p1[i].Status, p1[i].Hops, p2[i].Status, p2[i].Hops)
+						}
+						for j, hop := range p1[i].Hops {
+							if names[hop] != p2[i].Hops[j] {
+								t.Fatalf("hop mismatch %s→%s: %v vs %v", src, dst, p1[i].Hops, p2[i].Hops)
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

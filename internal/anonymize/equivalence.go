@@ -85,33 +85,22 @@ func addNeighborFilter(cfg *config.Network, view *sim.Net, d *config.Device, nb,
 // protocol for generated list names, keeping the per-protocol lists of a
 // shared interface distinct.
 func igpInFilters(d *config.Device, src sim.Source, create bool) (filters map[string]string, tag string) {
+	var g *config.IGP
 	switch src {
 	case sim.SrcOSPF, sim.SrcIBGP:
-		if d.OSPF == nil {
-			return nil, ""
-		}
-		if d.OSPF.InFilters == nil && create {
-			d.OSPF.InFilters = make(map[string]string)
-		}
-		return d.OSPF.InFilters, "OSPF"
+		g, tag = d.OSPF, "OSPF"
 	case sim.SrcEIGRP:
-		if d.EIGRP == nil {
-			return nil, ""
-		}
-		if d.EIGRP.InFilters == nil && create {
-			d.EIGRP.InFilters = make(map[string]string)
-		}
-		return d.EIGRP.InFilters, "EIGRP"
+		g, tag = d.EIGRP, "EIGRP"
 	case sim.SrcRIP:
-		if d.RIP == nil {
-			return nil, ""
-		}
-		if d.RIP.InFilters == nil && create {
-			d.RIP.InFilters = make(map[string]string)
-		}
-		return d.RIP.InFilters, "RIP"
+		g, tag = d.RIP, "RIP"
 	}
-	return nil, ""
+	if g == nil {
+		return nil, ""
+	}
+	if g.InFilters == nil && create {
+		g.InFilters = make(map[string]string)
+	}
+	return g.InFilters, tag
 }
 
 // addInterfaceFilter denies p on the inbound distribute-list of iface for

@@ -52,7 +52,7 @@ func addFakeRouters(out *config.Network, pool *netaddr.Pool, base *baseline, n i
 		proto.bgp = proto.bgp || d.BGP != nil
 		if d.EIGRP != nil {
 			proto.eigrp = true
-			proto.eigrpASN = d.EIGRP.ASN
+			proto.eigrpASN = d.EIGRP.ID
 		}
 	}
 	if proto.bgp {
@@ -68,11 +68,11 @@ func addFakeRouters(out *config.Network, pool *netaddr.Pool, base *baseline, n i
 		d := &config.Device{Hostname: name, Kind: config.RouterKind}
 		switch {
 		case proto.ospf:
-			d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+			d.OSPF = &config.IGP{ID: 1, InFilters: map[string]string{}}
 		case proto.eigrp:
-			d.EIGRP = &config.EIGRP{ASN: proto.eigrpASN, InFilters: map[string]string{}}
+			d.EIGRP = &config.IGP{ID: proto.eigrpASN, InFilters: map[string]string{}}
 		case proto.rip:
-			d.RIP = &config.RIP{InFilters: map[string]string{}}
+			d.RIP = &config.IGP{InFilters: map[string]string{}}
 		}
 		out.Add(d)
 

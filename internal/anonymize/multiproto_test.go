@@ -21,9 +21,9 @@ func TestAddInterfaceFilterSourceKeyed(t *testing.T) {
 	d := &config.Device{
 		Hostname: "r",
 		Kind:     config.RouterKind,
-		OSPF:     &config.OSPF{ProcessID: 1},
-		RIP:      &config.RIP{},
-		EIGRP:    &config.EIGRP{ASN: 100},
+		OSPF:     &config.IGP{ID: 1},
+		RIP:      &config.IGP{},
+		EIGRP:    &config.IGP{ID: 100},
 	}
 	if !addInterfaceFilter(d, "Ethernet0", p, sim.SrcRIP) {
 		t.Fatal("RIP deny not added")
@@ -83,7 +83,7 @@ func multiProtoNet(t *testing.T) *config.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Device("r1").OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+	cfg.Device("r1").OSPF = &config.IGP{ID: 1, InFilters: map[string]string{}}
 	return cfg
 }
 

@@ -48,14 +48,9 @@ func ApplyPII(cfg *config.Network, key []byte) (*config.Network, map[string]stri
 				}
 			}
 		}
-		if d.OSPF != nil {
-			for k := range d.OSPF.Networks {
-				d.OSPF.Networks[k] = an.Prefix(d.OSPF.Networks[k])
-			}
-		}
-		if d.RIP != nil {
-			for k := range d.RIP.Networks {
-				d.RIP.Networks[k] = an.Prefix(d.RIP.Networks[k])
+		for _, g := range d.IGPs() {
+			for k := range g.Networks {
+				g.Networks[k] = an.Prefix(g.Networks[k])
 			}
 		}
 		if d.BGP != nil {

@@ -159,7 +159,7 @@ func fixOneHop(out *config.Network, snap *sim.Snapshot, base *baseline, pair sim
 				continue // real link
 			}
 			rt := snap.Route(a, dstPfx)
-			bi, ok := snap.DeviceIndex(b)
+			bi, ok := snap.Device(b)
 			if rt == nil || !ok {
 				continue
 			}

@@ -59,32 +59,16 @@ func UnconfiguredInterfaces(cfg *config.Network) ([]LinkSuspicion, error) {
 	return dedupe(out), nil
 }
 
-// interfaceRouted reports whether the interface participates in OSPF, RIP,
-// or carries a BGP session address.
+// interfaceRouted reports whether the interface participates in an IGP or
+// carries a BGP session address.
 func interfaceRouted(d *config.Device, iface string) bool {
 	i := d.Interface(iface)
 	if i == nil || !i.Addr.IsValid() {
 		return false
 	}
-	if d.OSPF != nil {
-		for _, nw := range d.OSPF.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
-		}
-	}
-	if d.RIP != nil {
-		for _, nw := range d.RIP.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
-		}
-	}
-	if d.EIGRP != nil {
-		for _, nw := range d.EIGRP.Networks {
-			if nw.Contains(i.Addr.Addr()) {
-				return true
-			}
+	for _, g := range d.IGPs() {
+		if g.Enables(i) {
+			return true
 		}
 	}
 	if d.BGP != nil {
@@ -181,13 +165,8 @@ func SharedDenyPattern(cfg *config.Network, minShared int) []LinkSuspicion {
 			}
 			sigs[key] = append(sigs[key], site{dev: name, iface: iface})
 		}
-		if d.OSPF != nil {
-			for iface, list := range d.OSPF.InFilters {
-				record(iface, list)
-			}
-		}
-		if d.RIP != nil {
-			for iface, list := range d.RIP.InFilters {
+		for _, g := range d.IGPs() {
+			for iface, list := range g.InFilters {
 				record(iface, list)
 			}
 		}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"net/netip"
 	"testing"
 
 	"confmask/internal/anonymize"
@@ -247,5 +248,44 @@ func TestScoreLinks(t *testing.T) {
 	empty := ScoreLinks(nil, nil)
 	if empty.Precision() != 1 || empty.Recall() != 1 {
 		t.Fatalf("degenerate score = %+v", empty)
+	}
+}
+
+// TestSharedDenyPatternEveryIGP repeats one two-prefix deny list on an
+// interface of two routers, attached to the inbound distribute-lists of
+// an OSPF, a RIP and an EIGRP process in turn: each time both sites are
+// flagged.
+func TestSharedDenyPatternEveryIGP(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		proto   netgen.Proto
+		filters func(*config.Device) map[string]string
+	}{
+		{"ospf", netgen.OSPF, func(d *config.Device) map[string]string { return d.OSPF.InFilters }},
+		{"rip", netgen.RIP, func(d *config.Device) map[string]string { return d.RIP.InFilters }},
+		{"eigrp", netgen.EIGRP, func(d *config.Device) map[string]string { return d.EIGRP.InFilters }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := netgen.NewBuilder(tc.proto)
+			for _, r := range []string{"r1", "r2", "r3"} {
+				b.Router(r)
+			}
+			b.Link("r1", "r2").Link("r2", "r3")
+			b.Host("h1", "r1").Host("h3", "r3")
+			cfg, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []string{"r1", "r3"} {
+				d := cfg.Device(r)
+				pl := d.EnsurePrefixList("SHARED")
+				pl.Deny(netip.MustParsePrefix("10.9.0.0/24"))
+				pl.Deny(netip.MustParsePrefix("10.9.1.0/24"))
+				tc.filters(d)[d.Interfaces[0].Name] = "SHARED"
+			}
+			if got := SharedDenyPattern(cfg, 2); len(got) != 2 {
+				t.Fatalf("flagged %v, want the two sites of SHARED", got)
+			}
+		})
 	}
 }

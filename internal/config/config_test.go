@@ -22,8 +22,8 @@ func sampleRouter() *Device {
 			Extra: []string{"trust dscp", "qos wrr 1 to 7"},
 		},
 	)
-	d.OSPF = &OSPF{
-		ProcessID: 1,
+	d.OSPF = &IGP{
+		ID: 1,
 		Networks: []netip.Prefix{
 			netip.MustParsePrefix("10.0.0.0/31"),
 			netip.MustParsePrefix("10.1.0.0/24"),
@@ -345,7 +345,7 @@ func TestParseEIGRPStanza(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.EIGRP == nil || d.EIGRP.ASN != 212 || len(d.EIGRP.Networks) != 1 {
+	if d.EIGRP == nil || d.EIGRP.ID != 212 || len(d.EIGRP.Networks) != 1 {
 		t.Fatalf("EIGRP parse wrong: %+v", d.EIGRP)
 	}
 	if d.Interfaces[0].Delay != 77 {

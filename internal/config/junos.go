@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,39 +47,31 @@ func (d *Device) RenderJunos() string {
 		}
 	}
 
-	if d.OSPF != nil {
+	for _, g := range d.IGPs() {
+		// The stanza prefix of every statement of the process.
+		stanza := g.Proto.String()
+		if g.Proto == ProtoEIGRP {
+			stanza = fmt.Sprintf("eigrp %d", g.ID)
+		}
 		for _, i := range d.Interfaces {
-			if !coveredBy(i, d.OSPF.Networks) {
+			if !g.Enables(i) {
 				continue
 			}
-			fmt.Fprintf(&b, "set protocols ospf area 0.0.0.0 interface %s", i.Name)
-			if i.OSPFCost > 0 {
-				fmt.Fprintf(&b, " metric %d", i.OSPFCost)
-			}
-			b.WriteString("\n")
-		}
-		for _, iface := range sortedKeys(d.OSPF.InFilters) {
-			fmt.Fprintf(&b, "set protocols ospf import-list %s interface %s\n", d.OSPF.InFilters[iface], iface)
-		}
-	}
-	if d.RIP != nil {
-		for _, i := range d.Interfaces {
-			if coveredBy(i, d.RIP.Networks) {
+			switch g.Proto {
+			case ProtoOSPF:
+				fmt.Fprintf(&b, "set protocols ospf area 0.0.0.0 interface %s", i.Name)
+				if i.OSPFCost > 0 {
+					fmt.Fprintf(&b, " metric %d", i.OSPFCost)
+				}
+				b.WriteString("\n")
+			case ProtoRIP:
 				fmt.Fprintf(&b, "set protocols rip group internal neighbor %s\n", i.Name)
+			case ProtoEIGRP:
+				fmt.Fprintf(&b, "set protocols %s interface %s\n", stanza, i.Name)
 			}
 		}
-		for _, iface := range sortedKeys(d.RIP.InFilters) {
-			fmt.Fprintf(&b, "set protocols rip import-list %s interface %s\n", d.RIP.InFilters[iface], iface)
-		}
-	}
-	if d.EIGRP != nil {
-		for _, i := range d.Interfaces {
-			if coveredBy(i, d.EIGRP.Networks) {
-				fmt.Fprintf(&b, "set protocols eigrp %d interface %s\n", d.EIGRP.ASN, i.Name)
-			}
-		}
-		for _, iface := range sortedKeys(d.EIGRP.InFilters) {
-			fmt.Fprintf(&b, "set protocols eigrp %d import-list %s interface %s\n", d.EIGRP.ASN, d.EIGRP.InFilters[iface], iface)
+		for _, iface := range sortedKeys(g.InFilters) {
+			fmt.Fprintf(&b, "set protocols %s import-list %s interface %s\n", stanza, g.InFilters[iface], iface)
 		}
 	}
 	if d.BGP != nil {
@@ -119,18 +112,6 @@ func (d *Device) RenderJunos() string {
 		fmt.Fprintf(&b, "set apply-macro extra \"%s\"\n", strings.TrimSpace(x))
 	}
 	return b.String()
-}
-
-func coveredBy(i *Interface, networks []netip.Prefix) bool {
-	if !i.Addr.IsValid() {
-		return false
-	}
-	for _, nw := range networks {
-		if nw.Contains(i.Addr.Addr()) {
-			return true
-		}
-	}
-	return false
 }
 
 // ParseJunosDevice parses Junos-style `set` statements into a Device.
@@ -286,7 +267,7 @@ func ParseJunosDevice(text string) (*Device, error) {
 		return out
 	}
 	if len(ospfIfaces) > 0 || len(ospfFilters) > 0 {
-		d.OSPF = &OSPF{ProcessID: 1, Networks: toNetworks(ospfIfaces), InFilters: ospfFilters}
+		d.OSPF = &IGP{ID: 1, Networks: toNetworks(ospfIfaces), InFilters: ospfFilters}
 		for _, ii := range ospfIfaces {
 			if ii.metric > 0 {
 				if i := d.Interface(ii.name); i != nil {
@@ -296,10 +277,10 @@ func ParseJunosDevice(text string) (*Device, error) {
 		}
 	}
 	if len(ripIfaces) > 0 || len(ripFilters) > 0 {
-		d.RIP = &RIP{Networks: toNetworks(ripIfaces), InFilters: ripFilters}
+		d.RIP = &IGP{Networks: toNetworks(ripIfaces), InFilters: ripFilters}
 	}
 	if len(eigrpIfaces) > 0 || len(eigrpFilters) > 0 {
-		d.EIGRP = &EIGRP{ASN: eigrpASN, Networks: toNetworks(eigrpIfaces), InFilters: eigrpFilters}
+		d.EIGRP = &IGP{ID: eigrpASN, Networks: toNetworks(eigrpIfaces), InFilters: eigrpFilters}
 	}
 	if bgpASN != 0 {
 		d.ensureBGP().ASN = bgpASN
@@ -429,6 +410,29 @@ func ParseJunosNetwork(texts map[string]string) (*Network, error) {
 		n.Add(d)
 	}
 	return n, nil
+}
+
+// ParseAny parses a configuration set in either supported syntax and
+// returns the syntax it parsed ("ios" or "junos"): the one DetectSyntax
+// reads off the set's first file in label order. A mixed set is parsed
+// whole in that syntax, so it is parsed, and fails, alike on every call.
+func ParseAny(texts map[string]string) (*Network, string, error) {
+	labels := make([]string, 0, len(texts))
+	for label := range texts {
+		labels = append(labels, label)
+	}
+	syntax := "ios"
+	if len(labels) > 0 {
+		syntax = DetectSyntax(texts[slices.Min(labels)])
+	}
+	var n *Network
+	var err error
+	if syntax == "junos" {
+		n, err = ParseJunosNetwork(texts)
+	} else {
+		n, err = ParseNetwork(texts)
+	}
+	return n, syntax, err
 }
 
 // DetectSyntax guesses whether a configuration text is Cisco-IOS-style or

@@ -82,8 +82,8 @@ func TestJunosEIGRPAndDelay(t *testing.T) {
 		Addr:  netip.MustParsePrefix("10.0.0.0/31"),
 		Delay: 55,
 	})
-	d.EIGRP = &EIGRP{
-		ASN:       100,
+	d.EIGRP = &IGP{
+		ID:        100,
 		Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/31")},
 		InFilters: map[string]string{"ge-0/0/0": "F"},
 	}
@@ -93,7 +93,7 @@ func TestJunosEIGRPAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, text)
 	}
-	if got.EIGRP == nil || got.EIGRP.ASN != 100 {
+	if got.EIGRP == nil || got.EIGRP.ID != 100 {
 		t.Fatalf("EIGRP lost: %+v", got.EIGRP)
 	}
 	if got.Interfaces[0].Delay != 55 {

@@ -39,9 +39,9 @@ type Device struct {
 	Hostname   string
 	Kind       DeviceKind
 	Interfaces []*Interface
-	OSPF       *OSPF
-	RIP        *RIP
-	EIGRP      *EIGRP
+	OSPF       *IGP
+	RIP        *IGP
+	EIGRP      *IGP
 	BGP        *BGP
 	// PrefixLists holds named prefix lists in insertion order.
 	PrefixLists []*PrefixList
@@ -81,33 +81,80 @@ func (i *Interface) Cost() int {
 	return DefaultOSPFCost
 }
 
-// OSPF is a `router ospf` process. Only area 0 is modelled.
-type OSPF struct {
-	ProcessID int
-	Networks  []netip.Prefix
+// IGP is an interior gateway protocol process: `router ospf` (only area 0
+// is modelled), `router rip` (version 2) or `router eigrp`. The simulator
+// runs OSPF as link-state SPF over interface costs, RIP as distance vector
+// over hop counts, and EIGRP as distance vector over a simplified additive
+// delay metric (the dominant term of EIGRP's composite metric on
+// uniform-bandwidth links).
+type IGP struct {
+	// ID is the OSPF process ID or the EIGRP AS number; RIP has none.
+	ID       int
+	Networks []netip.Prefix
 	// InFilters maps an interface name to the prefix-list applied with
 	// `distribute-list prefix <name> in <interface>`. ConfMask's route
-	// filters for OSPF networks attach here.
+	// filters attach here, on the process that learned the route.
 	InFilters map[string]string
 }
 
-// RIP is a `router rip` process (version 2).
-type RIP struct {
-	Networks []netip.Prefix
-	// InFilters maps an interface name to the prefix-list applied with
-	// `distribute-list prefix <name> in <interface>`.
-	InFilters map[string]string
+// Protocol names an IGP.
+type Protocol int
+
+const (
+	ProtoOSPF Protocol = iota
+	ProtoRIP
+	ProtoEIGRP
+)
+
+// Protocols lists the IGPs in render order.
+var Protocols = [...]Protocol{ProtoOSPF, ProtoRIP, ProtoEIGRP}
+
+func (p Protocol) String() string { return [...]string{"ospf", "rip", "eigrp"}[p] }
+
+// Process is one IGP process of a device, as IGPs lists them.
+type Process struct {
+	Proto Protocol
+	*IGP
 }
 
-// EIGRP is a `router eigrp` process. The simulator uses a simplified
-// additive delay metric (the dominant term of EIGRP's composite metric on
-// uniform-bandwidth links).
-type EIGRP struct {
-	ASN      int
-	Networks []netip.Prefix
-	// InFilters maps an interface name to the prefix-list applied with
-	// `distribute-list prefix <name> in <interface>`.
-	InFilters map[string]string
+// IGP returns the device's process of protocol p, nil when it runs none.
+func (d *Device) IGP(p Protocol) *IGP {
+	return [...]*IGP{d.OSPF, d.RIP, d.EIGRP}[p]
+}
+
+// IGPs lists the device's IGP processes in render order: OSPF, RIP, EIGRP.
+func (d *Device) IGPs() []Process {
+	var out []Process
+	for _, p := range Protocols {
+		if g := d.IGP(p); g != nil {
+			out = append(out, Process{p, g})
+		}
+	}
+	return out
+}
+
+// Enables reports whether the process runs on the interface: a network
+// statement covers the interface address (Cisco network+wildcard
+// matching). It is false for a nil process, as for a device without one,
+// and for a nil or unaddressed interface.
+func (g *IGP) Enables(i *Interface) bool {
+	if g == nil || i == nil || !i.Addr.IsValid() {
+		return false
+	}
+	for _, nw := range g.Networks {
+		if nw.Contains(i.Addr.Addr()) {
+			return true
+		}
+	}
+	return false
+}
+
+// clone returns a deep copy of the process, nil for nil.
+func (g *IGP) clone() *IGP {
+	if g == nil {
+		return nil
+	}
+	return &IGP{ID: g.ID, Networks: append([]netip.Prefix(nil), g.Networks...), InFilters: cloneStringMap(g.InFilters)}
 }
 
 // DefaultDelay is the interface delay used when no `delay` line is
@@ -233,26 +280,7 @@ func (d *Device) Clone() *Device {
 		ci.Extra = append([]string(nil), i.Extra...)
 		c.Interfaces = append(c.Interfaces, &ci)
 	}
-	if d.OSPF != nil {
-		c.OSPF = &OSPF{
-			ProcessID: d.OSPF.ProcessID,
-			Networks:  append([]netip.Prefix(nil), d.OSPF.Networks...),
-			InFilters: cloneStringMap(d.OSPF.InFilters),
-		}
-	}
-	if d.RIP != nil {
-		c.RIP = &RIP{
-			Networks:  append([]netip.Prefix(nil), d.RIP.Networks...),
-			InFilters: cloneStringMap(d.RIP.InFilters),
-		}
-	}
-	if d.EIGRP != nil {
-		c.EIGRP = &EIGRP{
-			ASN:       d.EIGRP.ASN,
-			Networks:  append([]netip.Prefix(nil), d.EIGRP.Networks...),
-			InFilters: cloneStringMap(d.EIGRP.InFilters),
-		}
-	}
+	c.OSPF, c.RIP, c.EIGRP = d.OSPF.clone(), d.RIP.clone(), d.EIGRP.clone()
 	if d.BGP != nil {
 		cb := &BGP{
 			ASN:      d.BGP.ASN,
@@ -377,18 +405,8 @@ func (n *Network) UsedPrefixes() []netip.Prefix {
 		for _, i := range d.Interfaces {
 			add(i.Addr)
 		}
-		if d.OSPF != nil {
-			for _, p := range d.OSPF.Networks {
-				add(p)
-			}
-		}
-		if d.RIP != nil {
-			for _, p := range d.RIP.Networks {
-				add(p)
-			}
-		}
-		if d.EIGRP != nil {
-			for _, p := range d.EIGRP.Networks {
+		for _, g := range d.IGPs() {
+			for _, p := range g.Networks {
 				add(p)
 			}
 		}
@@ -435,14 +453,11 @@ func (d *Device) NextInterfaceName() string {
 func (d *Device) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s(%s, %d ifaces", d.Hostname, d.Kind, len(d.Interfaces))
-	if d.OSPF != nil {
-		b.WriteString(", ospf")
-	}
-	if d.RIP != nil {
-		b.WriteString(", rip")
-	}
-	if d.EIGRP != nil {
-		fmt.Fprintf(&b, ", eigrp:%d", d.EIGRP.ASN)
+	for _, g := range d.IGPs() {
+		fmt.Fprintf(&b, ", %s", g.Proto)
+		if g.Proto == ProtoEIGRP {
+			fmt.Fprintf(&b, ":%d", g.ID)
+		}
 	}
 	if d.BGP != nil {
 		fmt.Fprintf(&b, ", bgp:%d", d.BGP.ASN)

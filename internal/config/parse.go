@@ -20,13 +20,12 @@ func ParseDevice(text string) (*Device, error) {
 	const (
 		blkNone blockKind = iota
 		blkIface
-		blkOSPF
-		blkRIP
+		blkIGP
 		blkBGP
 	)
-	const blkEIGRP = blkBGP + 1
 	cur := blkNone
 	var curIface *Interface
+	var curIGP *IGP
 
 	for ln, raw := range lines {
 		line := strings.TrimRight(raw, " \t\r")
@@ -68,18 +67,18 @@ func ParseDevice(text string) (*Device, error) {
 				if len(f) >= 3 {
 					pid, _ = strconv.Atoi(f[2])
 				}
-				d.OSPF = &OSPF{ProcessID: pid, InFilters: map[string]string{}}
-				cur = blkOSPF
+				d.OSPF = &IGP{ID: pid, InFilters: map[string]string{}}
+				cur, curIGP = blkIGP, d.OSPF
 			case f[0] == "router" && len(f) >= 2 && f[1] == "rip":
-				d.RIP = &RIP{InFilters: map[string]string{}}
-				cur = blkRIP
+				d.RIP = &IGP{InFilters: map[string]string{}}
+				cur, curIGP = blkIGP, d.RIP
 			case f[0] == "router" && len(f) >= 3 && f[1] == "eigrp":
 				asn, err := strconv.Atoi(f[2])
 				if err != nil {
 					return nil, fmt.Errorf("config: line %d: bad EIGRP AS %q", ln+1, f[2])
 				}
-				d.EIGRP = &EIGRP{ASN: asn, InFilters: map[string]string{}}
-				cur = blkEIGRP
+				d.EIGRP = &IGP{ID: asn, InFilters: map[string]string{}}
+				cur, curIGP = blkIGP, d.EIGRP
 			case f[0] == "router" && len(f) >= 3 && f[1] == "bgp":
 				asn, err := strconv.Atoi(f[2])
 				if err != nil {
@@ -122,19 +121,11 @@ func ParseDevice(text string) (*Device, error) {
 		switch cur {
 		case blkIface:
 			d.parseIfaceLine(curIface, f, trimmed)
-		case blkOSPF:
-			if err := parseIGPLine(f, trimmed, &d.OSPF.Networks, d.OSPF.InFilters, true); err != nil {
-				return nil, fmt.Errorf("config: line %d: %v", ln+1, err)
-			}
-		case blkRIP:
-			if trimmed == "version 2" {
+		case blkIGP:
+			if trimmed == "version 2" && curIGP == d.RIP {
 				continue
 			}
-			if err := parseIGPLine(f, trimmed, &d.RIP.Networks, d.RIP.InFilters, false); err != nil {
-				return nil, fmt.Errorf("config: line %d: %v", ln+1, err)
-			}
-		case blkEIGRP:
-			if err := parseIGPLine(f, trimmed, &d.EIGRP.Networks, d.EIGRP.InFilters, false); err != nil {
+			if err := parseIGPLine(f, trimmed, curIGP, curIGP == d.OSPF); err != nil {
 				return nil, fmt.Errorf("config: line %d: %v", ln+1, err)
 			}
 		case blkBGP:
@@ -187,9 +178,9 @@ func (d *Device) parseIfaceLine(i *Interface, f []string, trimmed string) {
 	}
 }
 
-// parseIGPLine handles `network ...` and `distribute-list ...` inside OSPF
-// and RIP stanzas. withArea selects the OSPF wildcard-mask network syntax.
-func parseIGPLine(f []string, trimmed string, networks *[]netip.Prefix, filters map[string]string, withArea bool) error {
+// parseIGPLine handles `network ...` and `distribute-list ...` inside IGP
+// stanzas. withArea selects the OSPF wildcard-mask network syntax.
+func parseIGPLine(f []string, trimmed string, g *IGP, withArea bool) error {
 	switch {
 	case f[0] == "network":
 		if len(f) >= 2 && strings.Contains(f[1], "/") {
@@ -197,7 +188,7 @@ func parseIGPLine(f []string, trimmed string, networks *[]netip.Prefix, filters 
 			if err != nil {
 				return fmt.Errorf("bad network %q", trimmed)
 			}
-			*networks = append(*networks, p.Masked())
+			g.Networks = append(g.Networks, p.Masked())
 			return nil
 		}
 		if withArea && len(f) >= 3 {
@@ -206,12 +197,12 @@ func parseIGPLine(f []string, trimmed string, networks *[]netip.Prefix, filters 
 			if err != nil || !ok {
 				return fmt.Errorf("bad network %q", trimmed)
 			}
-			*networks = append(*networks, netip.PrefixFrom(addr, bits).Masked())
+			g.Networks = append(g.Networks, netip.PrefixFrom(addr, bits).Masked())
 			return nil
 		}
 		return fmt.Errorf("bad network %q", trimmed)
 	case f[0] == "distribute-list" && len(f) >= 5 && f[1] == "prefix" && f[3] == "in":
-		filters[f[4]] = f[2]
+		g.InFilters[f[4]] = f[2]
 		return nil
 	default:
 		return fmt.Errorf("unrecognized protocol line %q", trimmed)

@@ -39,35 +39,24 @@ func (d *Device) Render() string {
 		b.WriteString("!\n")
 	}
 
-	if d.OSPF != nil {
-		fmt.Fprintf(&b, "router ospf %d\n", d.OSPF.ProcessID)
-		for _, p := range sortedPrefixes(d.OSPF.Networks) {
-			fmt.Fprintf(&b, " network %s %s area 0\n", p.Masked().Addr(), wildcardString(p.Bits()))
+	for _, g := range d.IGPs() {
+		switch g.Proto {
+		case ProtoOSPF:
+			fmt.Fprintf(&b, "router ospf %d\n", g.ID)
+		case ProtoRIP:
+			b.WriteString("router rip\n version 2\n")
+		case ProtoEIGRP:
+			fmt.Fprintf(&b, "router eigrp %d\n", g.ID)
 		}
-		for _, iface := range sortedKeys(d.OSPF.InFilters) {
-			fmt.Fprintf(&b, " distribute-list prefix %s in %s\n", d.OSPF.InFilters[iface], iface)
+		for _, p := range sortedPrefixes(g.Networks) {
+			if g.Proto == ProtoOSPF {
+				fmt.Fprintf(&b, " network %s %s area 0\n", p.Masked().Addr(), wildcardString(p.Bits()))
+			} else {
+				fmt.Fprintf(&b, " network %s\n", p.Masked())
+			}
 		}
-		b.WriteString("!\n")
-	}
-
-	if d.RIP != nil {
-		b.WriteString("router rip\n version 2\n")
-		for _, p := range sortedPrefixes(d.RIP.Networks) {
-			fmt.Fprintf(&b, " network %s\n", p.Masked())
-		}
-		for _, iface := range sortedKeys(d.RIP.InFilters) {
-			fmt.Fprintf(&b, " distribute-list prefix %s in %s\n", d.RIP.InFilters[iface], iface)
-		}
-		b.WriteString("!\n")
-	}
-
-	if d.EIGRP != nil {
-		fmt.Fprintf(&b, "router eigrp %d\n", d.EIGRP.ASN)
-		for _, p := range sortedPrefixes(d.EIGRP.Networks) {
-			fmt.Fprintf(&b, " network %s\n", p.Masked())
-		}
-		for _, iface := range sortedKeys(d.EIGRP.InFilters) {
-			fmt.Fprintf(&b, " distribute-list prefix %s in %s\n", d.EIGRP.InFilters[iface], iface)
+		for _, iface := range sortedKeys(g.InFilters) {
+			fmt.Fprintf(&b, " distribute-list prefix %s in %s\n", g.InFilters[iface], iface)
 		}
 		b.WriteString("!\n")
 	}

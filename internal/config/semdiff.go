@@ -55,14 +55,10 @@ func SemanticDiff(a, b *Device) string {
 			return fmt.Sprintf("interface %s: delay %d vs %d", ai.Name, ai.Delay, bi.Delay)
 		}
 	}
-	if d := diffOSPF(a.OSPF, b.OSPF); d != "" {
-		return d
-	}
-	if d := diffRIP(a.RIP, b.RIP); d != "" {
-		return d
-	}
-	if d := diffEIGRP(a.EIGRP, b.EIGRP); d != "" {
-		return d
+	for _, p := range Protocols {
+		if d := diffIGP(p, a.IGP(p), b.IGP(p)); d != "" {
+			return d
+		}
 	}
 	if d := diffBGP(a.BGP, b.BGP); d != "" {
 		return d
@@ -95,47 +91,21 @@ func SemanticDiff(a, b *Device) string {
 	return ""
 }
 
-func diffOSPF(a, b *OSPF) string {
+func diffIGP(p Protocol, a, b *IGP) string {
 	switch {
 	case (a == nil) != (b == nil):
-		return "ospf presence differs"
+		return fmt.Sprintf("%s presence differs", p)
 	case a == nil:
 		return ""
-	case a.ProcessID != b.ProcessID:
-		return fmt.Sprintf("ospf process %d vs %d", a.ProcessID, b.ProcessID)
+	case a.ID != b.ID && p == ProtoEIGRP:
+		return fmt.Sprintf("eigrp AS %d vs %d", a.ID, b.ID)
+	case a.ID != b.ID:
+		return fmt.Sprintf("%s process %d vs %d", p, a.ID, b.ID)
 	}
-	if d := diffPrefixSets("ospf networks", a.Networks, b.Networks); d != "" {
+	if d := diffPrefixSets(p.String()+" networks", a.Networks, b.Networks); d != "" {
 		return d
 	}
-	return diffFilterMaps("ospf", a.InFilters, b.InFilters)
-}
-
-func diffRIP(a, b *RIP) string {
-	switch {
-	case (a == nil) != (b == nil):
-		return "rip presence differs"
-	case a == nil:
-		return ""
-	}
-	if d := diffPrefixSets("rip networks", a.Networks, b.Networks); d != "" {
-		return d
-	}
-	return diffFilterMaps("rip", a.InFilters, b.InFilters)
-}
-
-func diffEIGRP(a, b *EIGRP) string {
-	switch {
-	case (a == nil) != (b == nil):
-		return "eigrp presence differs"
-	case a == nil:
-		return ""
-	case a.ASN != b.ASN:
-		return fmt.Sprintf("eigrp AS %d vs %d", a.ASN, b.ASN)
-	}
-	if d := diffPrefixSets("eigrp networks", a.Networks, b.Networks); d != "" {
-		return d
-	}
-	return diffFilterMaps("eigrp", a.InFilters, b.InFilters)
+	return diffFilterMaps(p.String(), a.InFilters, b.InFilters)
 }
 
 func diffBGP(a, b *BGP) string {

@@ -14,8 +14,8 @@ func semdiffDevice() *Device {
 			{Name: "Ethernet0", Addr: netip.MustParsePrefix("10.0.0.1/24"), Description: "to-r2", OSPFCost: 5},
 			{Name: "Ethernet1", Addr: netip.MustParsePrefix("10.0.1.1/24"), Extra: []string{" shutdown-timer 5"}},
 		},
-		OSPF: &OSPF{
-			ProcessID: 1,
+		OSPF: &IGP{
+			ID:        1,
 			Networks:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")},
 			InFilters: map[string]string{"Ethernet0": "pl-in"},
 		},
@@ -78,8 +78,8 @@ func TestSemanticDiffDetectsSemanticEdits(t *testing.T) {
 			d.OSPF.Networks = append(d.OSPF.Networks, netip.MustParsePrefix("10.7.0.0/24"))
 		}, "ospf networks"},
 		{"ospf-gone", func(d *Device) { d.OSPF = nil }, "ospf presence"},
-		{"rip-added", func(d *Device) { d.RIP = &RIP{} }, "rip presence"},
-		{"eigrp-added", func(d *Device) { d.EIGRP = &EIGRP{ASN: 7} }, "eigrp presence"},
+		{"rip-added", func(d *Device) { d.RIP = &IGP{} }, "rip presence"},
+		{"eigrp-added", func(d *Device) { d.EIGRP = &IGP{ID: 7} }, "eigrp presence"},
 		{"filter", func(d *Device) { d.OSPF.InFilters["Ethernet0"] = "pl-other" }, "distribute-list"},
 		{"bgp-asn", func(d *Device) { d.BGP.ASN = 65009 }, "bgp AS"},
 		{"bgp-neighbor", func(d *Device) { d.BGP.Neighbors[0].RemoteAS = 65009 }, "neighbor"},

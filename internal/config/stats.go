@@ -6,7 +6,7 @@ package config
 // lines and `!` separators are not counted.
 type Stats struct {
 	Interface int // interface stanza lines (incl. the `interface` line)
-	Protocol  int // router ospf/rip/bgp stanza lines except filters
+	Protocol  int // router ospf/rip/eigrp/bgp stanza lines except filters
 	Filter    int // prefix-list lines and distribute-list attachments
 	Other     int // hostname, statics, comments, preserved extras
 }
@@ -61,20 +61,13 @@ func (d *Device) LineStats() Stats {
 		}
 		s.Interface += len(i.Extra)
 	}
-	if d.OSPF != nil {
-		s.Protocol++ // router ospf
-		s.Protocol += len(d.OSPF.Networks)
-		s.Filter += len(d.OSPF.InFilters)
-	}
-	if d.RIP != nil {
-		s.Protocol += 2 // router rip + version 2
-		s.Protocol += len(d.RIP.Networks)
-		s.Filter += len(d.RIP.InFilters)
-	}
-	if d.EIGRP != nil {
-		s.Protocol++ // router eigrp
-		s.Protocol += len(d.EIGRP.Networks)
-		s.Filter += len(d.EIGRP.InFilters)
+	for _, g := range d.IGPs() {
+		s.Protocol++ // router <protocol>
+		if g.Proto == ProtoRIP {
+			s.Protocol++ // version 2
+		}
+		s.Protocol += len(g.Networks)
+		s.Filter += len(g.InFilters)
 	}
 	if d.BGP != nil {
 		s.Protocol++ // router bgp

@@ -10,7 +10,7 @@ import (
 
 func router(name string, asn int) *config.Device {
 	d := &config.Device{Hostname: name, Kind: config.RouterKind}
-	d.OSPF = &config.OSPF{ProcessID: 1, InFilters: map[string]string{}}
+	d.OSPF = &config.IGP{ID: 1, InFilters: map[string]string{}}
 	if asn > 0 {
 		d.BGP = &config.BGP{ASN: asn}
 	}

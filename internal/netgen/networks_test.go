@@ -212,7 +212,7 @@ func TestEIGRPBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := cfg.Device("r1")
-	if d.EIGRP == nil || d.EIGRP.ASN != 100 {
+	if d.EIGRP == nil || d.EIGRP.ID != 100 {
 		t.Fatalf("EIGRP process missing: %+v", d)
 	}
 	if len(d.EIGRP.Networks) != 2 { // link + host LAN

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,26 +51,15 @@ func New(snap *sim.Snapshot, opts Options) *Engine {
 }
 
 // FromConfigs parses a rendered configuration set (Cisco-IOS-style or
-// Junos-style, auto-detected off the lexicographically first file) and
-// simulates it, returning the snapshot an Engine serves from. This is how
-// the daemon rebuilds query state from a journaled job: the original
-// request configs and the anonymized result configs are both plain text.
+// Junos-style, detected by config.ParseAny) and simulates it, returning
+// the snapshot an Engine serves from. This is how the daemon rebuilds
+// query state from a journaled job: the original request configs and the
+// anonymized result configs are both plain text.
 func FromConfigs(configs map[string]string, parallelism int) (*sim.Snapshot, error) {
 	if len(configs) == 0 {
 		return nil, errors.New("query: empty configuration set")
 	}
-	keys := make([]string, 0, len(configs))
-	for k := range configs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var net *config.Network
-	var err error
-	if config.DetectSyntax(configs[keys[0]]) == "junos" {
-		net, err = config.ParseJunosNetwork(configs)
-	} else {
-		net, err = config.ParseNetwork(configs)
-	}
+	net, _, err := config.ParseAny(configs)
 	if err != nil {
 		return nil, err
 	}
@@ -100,32 +87,7 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Run(ctx context.Context, qs []Query) []Result {
 	e.queries.Add(int64(len(qs)))
 	out := make([]Result, len(qs))
-	workers := e.workers
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i := range qs {
-			out[i] = e.eval(ctx, i, &qs[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				out[i] = e.eval(ctx, i, &qs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	sim.ForEachIndex(e.workers, len(qs), func(i int) { out[i] = e.eval(ctx, i, &qs[i]) })
 	return out
 }
 
@@ -264,7 +226,7 @@ func (e *Engine) resolve(q *Query) (target, error) {
 			return t, err
 		}
 		for _, dev := range [...]string{f.Node, f.LinkA, f.LinkB} {
-			if dev != "" && !e.snap.HasDevice(dev) {
+			if _, ok := e.snap.Device(dev); dev != "" && !ok {
 				return t, fmt.Errorf("unknown failed device %q", dev)
 			}
 		}

@@ -40,7 +40,7 @@ func rewire(t *testing.T, s *Snapshot, dst string, nhs map[string][]string) {
 	t.Helper()
 	pfx := s.Net.HostPrefix[dst]
 	for dev, next := range nhs {
-		if !s.HasDevice(dev) {
+		if _, ok := s.Device(dev); !ok {
 			t.Fatalf("rewire: %s has no FIB", dev)
 		}
 		if len(next) == 0 {

@@ -28,27 +28,21 @@ type simCore struct {
 	// tab indexes every Snapshot's route columns; see prefixTable.
 	tab  *prefixTable
 	ospf *ospfCore
-	// ospfLinks / ripLinks / eigrpLinks hold, per router, the adjacencies
-	// over which the protocol exchanges routes (both endpoint interfaces
-	// enabled), in linksOf order.
-	ospfLinks  map[string][]adjacency
-	ripLinks   map[string][]adjacency
-	eigrpLinks map[string][]adjacency
-	// ripSpeakers / eigrpSpeakers / bgpSpeakers list the routers running
-	// each protocol, in Routers() order; asn maps each BGP speaker to its
-	// AS number.
-	ripSpeakers   []string
-	eigrpSpeakers []string
-	bgpSpeakers   []string
-	asn           map[string]int
+	// links[p] holds, per router, the adjacencies over which IGP p
+	// exchanges routes (see linkEnabled), in linksOf order.
+	links [len(config.Protocols)]map[string][]adjacency
+	// speakers[p] and bgpSpeakers list the routers running IGP p and BGP,
+	// in Routers() order; asn maps each BGP speaker to its AS number.
+	speakers    [len(config.Protocols)][]string
+	bgpSpeakers []string
+	asn         map[string]int
 	// sessions is the discovered BGP session graph.
 	sessions []bgpSession
 }
 
-// adjacency is one router's end of a link over which a protocol exchanges
+// adjacency is one router's end of a link over which an IGP exchanges
 // routes: the local interface, the neighbor, and the metric the local
-// interface adds to a route learned over it (its OSPF cost, its EIGRP
-// delay, or RIP's one hop).
+// interface adds to a route learned over it (see igpMetric).
 type adjacency struct {
 	iface  string
 	nb     string
@@ -109,7 +103,7 @@ type prefixTable struct {
 }
 
 // origin is one device's way of putting a prefix into routing: an
-// addressed interface in it, with the protocols the interface runs, or a
+// addressed interface in it, with its metric in each IGP it runs, or a
 // BGP network statement for it, with the speaker's router ID (BGP breaks
 // ties on the originator's ID) and whether the speaker has a static
 // route for it (which lets it originate the prefix). Beside the
@@ -119,12 +113,11 @@ type prefixTable struct {
 type origin struct {
 	dev   string
 	iface string // "" for a network statement
-	// ospf and eigrp are the interface's OSPF cost and EIGRP delay, -1
-	// when it does not run the protocol; rip reports whether it runs RIP.
-	ospf, eigrp int
-	rip         bool
-	bgpID       netip.Addr
-	static      bool
+	// igp[p] is the interface's igpMetric in IGP p, 0 when it does not
+	// run p (every metric is positive).
+	igp    [len(config.Protocols)]int
+	bgpID  netip.Addr
+	static bool
 }
 
 // devRoute is one device's route in a sparse column.
@@ -214,16 +207,16 @@ func (n *Net) buildPrefixTable() *prefixTable {
 	dests := make(map[netip.Prefix]bool)
 	for _, name := range names {
 		d := n.Cfg.Device(name)
+		igps := d.IGPs()
 		for _, ifc := range d.Interfaces {
 			if !ifc.Addr.IsValid() {
 				continue
 			}
-			o := origin{dev: name, iface: ifc.Name, ospf: -1, eigrp: -1, rip: ripEnabled(d, ifc)}
-			if ospfEnabled(d, ifc) {
-				o.ospf = ifc.Cost()
-			}
-			if eigrpEnabled(d, ifc) {
-				o.eigrp = ifc.DelayValue()
+			o := origin{dev: name, iface: ifc.Name}
+			for _, g := range igps {
+				if g.Enables(ifc) {
+					o.igp[g.Proto] = igpMetric(g.Proto, ifc)
+				}
 			}
 			p := ifc.Addr.Masked()
 			origins[p] = append(origins[p], o)
@@ -240,7 +233,7 @@ func (n *Net) buildPrefixTable() *prefixTable {
 			id := routerID(d)
 			for _, p := range d.BGP.Networks {
 				static := slices.ContainsFunc(d.Statics, func(s config.StaticRoute) bool { return s.Prefix == p })
-				origins[p] = append(origins[p], origin{dev: name, ospf: -1, eigrp: -1, bgpID: id, static: static})
+				origins[p] = append(origins[p], origin{dev: name, bgpID: id, static: static})
 				dests[p] = true
 			}
 		}
@@ -378,19 +371,14 @@ func (n *Net) coreFor(workers int) *simCore {
 
 // buildCore derives the filter-independent simulation state.
 func (n *Net) buildCore(workers int) *simCore {
-	c := &simCore{
-		ospfLinks:  make(map[string][]adjacency),
-		ripLinks:   make(map[string][]adjacency),
-		eigrpLinks: make(map[string][]adjacency),
-		asn:        make(map[string]int),
+	c := &simCore{asn: make(map[string]int)}
+	for p := range c.links {
+		c.links[p] = make(map[string][]adjacency)
 	}
 	for _, r := range n.Cfg.Routers() {
 		d := n.Cfg.Device(r)
-		if d.RIP != nil {
-			c.ripSpeakers = append(c.ripSpeakers, r)
-		}
-		if d.EIGRP != nil {
-			c.eigrpSpeakers = append(c.eigrpSpeakers, r)
+		for _, g := range d.IGPs() {
+			c.speakers[g.Proto] = append(c.speakers[g.Proto], r)
 		}
 		if d.BGP != nil {
 			c.bgpSpeakers = append(c.bgpSpeakers, r)
@@ -399,27 +387,47 @@ func (n *Net) buildCore(workers int) *simCore {
 		for _, l := range n.linksOf[r] {
 			local, _ := l.Local(r)
 			other, _ := l.Other(r)
-			li := d.Interface(local.Iface)
-			adj := adjacency{iface: local.Iface, nb: other.Device}
-			if n.ospfLinkEnabled(l) {
-				adj.metric = li.Cost()
-				c.ospfLinks[r] = append(c.ospfLinks[r], adj)
-			}
-			if n.ripLinkEnabled(l) {
-				adj.metric = 1
-				c.ripLinks[r] = append(c.ripLinks[r], adj)
-			}
-			if n.eigrpLinkEnabled(l) {
-				adj.metric = li.DelayValue()
-				c.eigrpLinks[r] = append(c.eigrpLinks[r], adj)
+			for _, p := range config.Protocols {
+				if n.linkEnabled(l, p) {
+					adj := adjacency{iface: local.Iface, nb: other.Device, metric: igpMetric(p, d.Interface(local.Iface))}
+					c.links[p][r] = append(c.links[p][r], adj)
+				}
 			}
 		}
 	}
 	c.sessions = n.discoverSessions()
 	c.tab = n.buildPrefixTable()
 	n.seedTab = nil
-	c.ospf = n.buildOSPFCore(c.tab)
+	c.ospf = buildOSPFCore(c.tab, c.speakers[config.ProtoOSPF], c.links[config.ProtoOSPF])
 	return c
+}
+
+// linkEnabled reports whether a router-router link exchanges routes of
+// IGP p: both endpoint interfaces must run it, and EIGRP processes must
+// share an AS number (EIGRP only peers within an AS).
+func (n *Net) linkEnabled(l *Link, p config.Protocol) bool {
+	da, db := n.Cfg.Device(l.A.Device), n.Cfg.Device(l.B.Device)
+	if da.Kind != config.RouterKind || db.Kind != config.RouterKind {
+		return false
+	}
+	ga, gb := da.IGP(p), db.IGP(p)
+	if ga == nil || gb == nil || p == config.ProtoEIGRP && ga.ID != gb.ID {
+		return false
+	}
+	return ga.Enables(da.Interface(l.A.Iface)) && gb.Enables(db.Interface(l.B.Iface))
+}
+
+// igpMetric is the metric an interface running IGP p originates its
+// prefix at and adds to every route learned over it: its OSPF cost, RIP's
+// one hop, or its EIGRP delay.
+func igpMetric(p config.Protocol, i *config.Interface) int {
+	switch p {
+	case config.ProtoOSPF:
+		return i.Cost()
+	case config.ProtoEIGRP:
+		return i.DelayValue()
+	}
+	return 1
 }
 
 // adv is one stub-prefix advertisement into OSPF: the advertising router
@@ -429,40 +437,33 @@ type adv struct {
 	cost   int32
 }
 
-// buildOSPFCore computes the link-state view: the interned speaker table,
-// the CSR cost graph, the on-demand all-pairs DistMatrix, and the
-// per-prefix advertisements, indexed by the prefix table. No distances
-// are computed here — rows materialize lazily as the route computation
-// touches them.
-func (n *Net) buildOSPFCore(tab *prefixTable) *ospfCore {
-	c := &ospfCore{}
-	for _, r := range n.Cfg.Routers() {
-		if n.Cfg.Device(r).OSPF != nil {
-			c.speakers = append(c.speakers, r)
-			c.dev = append(c.dev, tab.devIdx[r])
-		}
+// buildOSPFCore computes the link-state view over the OSPF speakers and
+// their adjacencies: the interned speaker table, the CSR cost graph, the
+// on-demand all-pairs DistMatrix, and the per-prefix advertisements,
+// indexed by the prefix table. No distances are computed here — rows
+// materialize lazily as the route computation touches them.
+func buildOSPFCore(tab *prefixTable, speakers []string, links map[string][]adjacency) *ospfCore {
+	c := &ospfCore{speakers: speakers}
+	for _, r := range speakers {
+		c.dev = append(c.dev, tab.devIdx[r])
 	}
 	if len(c.speakers) == 0 {
 		return c
 	}
 
-	// Every node of the cost graph is a speaker (ospfLinkEnabled requires
+	// Every node of the cost graph is a speaker (linkEnabled requires
 	// OSPF on both endpoints), so interning the speakers covers the graph
 	// and isolated speakers alike.
 	c.t = internNames(c.speakers)
 
-	// Directed cost graph over enabled router-router links.
+	// Directed cost graph: one arc per adjacency, at the local cost.
 	var edges []csrEdge
-	for _, l := range n.Links {
-		if !n.ospfLinkEnabled(l) {
-			continue
+	for _, r := range speakers {
+		ri, _ := c.t.id(r)
+		for _, a := range links[r] {
+			nb, _ := c.t.id(a.nb)
+			edges = append(edges, csrEdge{from: ri, to: nb, cost: clampCost32(a.metric), nh: tab.nextHop(a.nb, a.iface)})
 		}
-		ia := n.Cfg.Device(l.A.Device).Interface(l.A.Iface)
-		ib := n.Cfg.Device(l.B.Device).Interface(l.B.Iface)
-		ai, _ := c.t.id(l.A.Device)
-		bi, _ := c.t.id(l.B.Device)
-		edges = append(edges, csrEdge{from: ai, to: bi, cost: clampCost32(ia.Cost()), nh: tab.nextHop(l.B.Device, l.A.Iface)})
-		edges = append(edges, csrEdge{from: bi, to: ai, cost: clampCost32(ib.Cost()), nh: tab.nextHop(l.A.Device, l.B.Iface)})
 	}
 	c.fwd = buildCSR(c.t, edges)
 	c.dist = newDistMatrix(c.fwd.reverse())
@@ -481,8 +482,8 @@ func (n *Net) buildOSPFCore(tab *prefixTable) *ospfCore {
 			if as := c.attached[pi]; len(as) == 0 || as[len(as)-1] != si {
 				c.attached[pi] = append(as, si)
 			}
-			if o.ospf >= 0 {
-				c.advs[pi] = append(c.advs[pi], adv{router: si, cost: clampCost32(o.ospf)})
+			if m := o.igp[config.ProtoOSPF]; m > 0 {
+				c.advs[pi] = append(c.advs[pi], adv{router: si, cost: clampCost32(m)})
 			}
 		}
 	}

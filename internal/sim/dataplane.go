@@ -172,12 +172,6 @@ type destEngine struct {
 // read-only.
 func (s *Snapshot) Devices() []string { return s.tab.devices }
 
-// HasDevice reports whether name is a configured device of the network.
-func (s *Snapshot) HasDevice(name string) bool {
-	_, ok := s.tab.devIdx[name]
-	return ok
-}
-
 // Hosts returns the network's host device names in sorted order.
 func (s *Snapshot) Hosts() []string { return s.Net.Cfg.Hosts() }
 

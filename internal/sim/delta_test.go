@@ -237,10 +237,10 @@ func mixedSimNet(t *testing.T, rng *rand.Rand) *config.Network {
 	for _, r := range cfg.Routers() {
 		d := cfg.Device(r)
 		if rng.Intn(2) == 0 {
-			d.RIP = &config.RIP{Networks: all}
+			d.RIP = &config.IGP{Networks: all}
 		}
 		if rng.Intn(3) == 0 {
-			d.EIGRP = &config.EIGRP{ASN: 7, Networks: all}
+			d.EIGRP = &config.IGP{ID: 7, Networks: all}
 		}
 	}
 	return cfg

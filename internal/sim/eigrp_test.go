@@ -125,7 +125,7 @@ func TestEIGRPRoundTripThroughText(t *testing.T) {
 	if reparsed.Device("r1").Interfaces[0].Delay != 25 {
 		t.Fatal("delay lost in round trip")
 	}
-	if reparsed.Device("r1").EIGRP == nil || reparsed.Device("r1").EIGRP.ASN != 100 {
+	if reparsed.Device("r1").EIGRP == nil || reparsed.Device("r1").EIGRP.ID != 100 {
 		t.Fatal("EIGRP process lost in round trip")
 	}
 }

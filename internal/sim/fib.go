@@ -63,21 +63,26 @@ func SimulateNetOpts(n *Net, opts Options) *Snapshot {
 	last, stale := n.lastResult()
 	b := newColBuild(tab, last, stale)
 	igp := n.runOSPF(workers, filters, last, b.dirty)
-	rip := n.runRIP(workers)
-	eigrp := n.runEIGRP(workers)
+	dv := make(map[string][]*Route)
+	for _, p := range distanceVectors {
+		for r, rts := range n.runDV(workers, p) {
+			dv[r] = append(dv[r], rts...)
+		}
+	}
 	bgp := n.runBGP(igp, workers)
-	b.assemble(workers, filters, igp, rip, eigrp, bgp)
+	b.assemble(workers, filters, igp, dv, bgp)
 	n.remember(&simResult{ospfRows: igp.rows, cols: b.cols})
 	return &Snapshot{Net: n, OSPFDist: igp.dist, tab: tab, cols: b.cols, ospfRows: igp.rows, filters: filters, workers: workers,
-		converged: &converged{rip: rip, eigrp: eigrp, bgp: bgp}}
+		converged: &converged{dv: dv, bgp: bgp}}
 }
 
 // converged is what a simulation's distance-vector and BGP computations
 // left for its Snapshot's on-read columns: the converged per-router
-// routes, which depend on no column.
+// routes, which depend on no column. dv holds each router's RIP and
+// EIGRP routes.
 type converged struct {
-	rip, eigrp map[string]map[netip.Prefix]*Route
-	bgp        *bgpState
+	dv  map[string][]*Route
+	bgp *bgpState
 }
 
 // onReadColumns counts the columns Snapshots computed on read, over the
@@ -116,7 +121,7 @@ func (s *Snapshot) otherColumns() [][]*Route {
 		}
 		workers := s.traceWorkers()
 		igp := s.Net.runOSPF(workers, s.filters, nil, b.dirty)
-		b.assemble(workers, s.filters, igp, s.converged.rip, s.converged.eigrp, s.converged.bgp)
+		b.assemble(workers, s.filters, igp, s.converged.dv, s.converged.bgp)
 		s.others, s.converged = b.cols, nil
 		onReadColumns.Add(int64(count))
 	})
@@ -152,12 +157,12 @@ func newColBuild(tab *prefixTable, last *simResult, stale *FilterDiff) *colBuild
 
 // assemble builds every dirty column. A device's entry is the
 // administrative-distance winner among its connected and static
-// candidates (the prefix table's), its OSPF route (the prefix's row), and
-// its BGP, EIGRP and RIP routes. Columns fan out first; the per-router
-// protocol results then fan out by router, each writing only its own slot
-// of the dirty columns. It reads the filter view filters, never the live
-// configurations.
-func (b *colBuild) assemble(workers int, filters *filterState, igp *ospfState, rip, eigrp map[string]map[netip.Prefix]*Route, bgp *bgpState) {
+// candidates (the prefix table's), its OSPF route (the prefix's row), its
+// BGP routes and its RIP and EIGRP routes (dv). Columns fan out first;
+// the per-router protocol results then fan out by router, each writing
+// only its own slot of the dirty columns. It reads the filter view
+// filters, never the live configurations.
+func (b *colBuild) assemble(workers int, filters *filterState, igp *ospfState, dv map[string][]*Route, bgp *bgpState) {
 	var fresh []int32
 	for pi, d := range b.dirty {
 		if d {
@@ -184,10 +189,7 @@ func (b *colBuild) assemble(workers int, filters *filterState, igp *ospfState, r
 	forEachIndex(workers, D, func(i int) {
 		di, name := int32(i), b.tab.devices[i]
 		bgp.offerRoutes(igp, filters, name, di, b)
-		for _, rt := range eigrp[name] {
-			b.offer(di, rt)
-		}
-		for _, rt := range rip[name] {
+		for _, rt := range dv[name] {
 			b.offer(di, rt)
 		}
 	})

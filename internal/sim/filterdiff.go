@@ -20,7 +20,7 @@ import (
 // Soundness rests on the simulator's per-prefix filter independence:
 // distribute-list filters act when a protocol installs a candidate route
 // for a specific prefix (runOSPF asks each link's compiled inbound list,
-// runRIP/runEIGRP consult filterDenies* per candidate prefix; BGP filters
+// runDV the receiving interface's list per candidate prefix; BGP filters
 // each advertised prefix at the receiving neighbor, and offerRoutes
 // filters the iBGP next hops it resolves through the filter-independent
 // SPF state). A deny-decision change for prefix set P therefore only
@@ -160,23 +160,15 @@ func (n *Net) captureFilterState() *filterState {
 	}
 	for _, name := range n.Cfg.Names() {
 		d := n.Cfg.Device(name)
-		if d.OSPF != nil {
+		for _, g := range d.IGPs() {
+			for iface, list := range g.InFilters {
+				add(name, g.Proto.String(), iface, list)
+			}
+		}
+		if d.OSPF != nil && len(d.OSPF.InFilters) > 0 {
+			st.ospfIn[name] = make(map[string]*listEval, len(d.OSPF.InFilters))
 			for iface, list := range d.OSPF.InFilters {
-				add(name, "ospf", iface, list)
-				if st.ospfIn[name] == nil {
-					st.ospfIn[name] = make(map[string]*listEval, len(d.OSPF.InFilters))
-				}
 				st.ospfIn[name][iface] = n.listOf(d, list)
-			}
-		}
-		if d.RIP != nil {
-			for iface, list := range d.RIP.InFilters {
-				add(name, "rip", iface, list)
-			}
-		}
-		if d.EIGRP != nil {
-			for iface, list := range d.EIGRP.InFilters {
-				add(name, "eigrp", iface, list)
 			}
 		}
 		if d.BGP != nil {

@@ -7,34 +7,6 @@ import (
 	"confmask/internal/config"
 )
 
-// ospfEnabled reports whether an interface participates in the device's
-// OSPF process: a network statement must cover the interface address
-// (Cisco network+wildcard matching).
-func ospfEnabled(d *config.Device, i *config.Interface) bool {
-	if d.OSPF == nil || !i.Addr.IsValid() {
-		return false
-	}
-	for _, nw := range d.OSPF.Networks {
-		if nw.Contains(i.Addr.Addr()) {
-			return true
-		}
-	}
-	return false
-}
-
-// ospfLinkEnabled reports whether a router-router link runs OSPF: both
-// endpoint interfaces must be enabled.
-func (n *Net) ospfLinkEnabled(l *Link) bool {
-	da := n.Cfg.Device(l.A.Device)
-	db := n.Cfg.Device(l.B.Device)
-	if da.Kind != config.RouterKind || db.Kind != config.RouterKind {
-		return false
-	}
-	ia := da.Interface(l.A.Iface)
-	ib := db.Interface(l.B.Iface)
-	return ia != nil && ib != nil && ospfEnabled(da, ia) && ospfEnabled(db, ib)
-}
-
 // ospfState is the computed link-state view shared by column assembly and
 // BGP next-hop resolution.
 type ospfState struct {
@@ -176,15 +148,16 @@ func (n *Net) runOSPF(workers int, filters *filterState, last *simResult, dirty 
 
 	// Per-speaker state, resolved once per run instead of once per
 	// (prefix, link): the candidate links with interned neighbor ids,
-	// local costs and inbound filters, in core.ospfLinks order (the order
+	// local costs and inbound filters, in core.links order (the order
 	// the candidate scan has always branched in).
 	S := len(oc.speakers)
 	cands := make([][]linkCand, S)
 	forEachIndex(workers, S, func(si int) {
 		r := oc.speakers[si]
 		ins := filters.ospfIn[r]
-		cs := make([]linkCand, 0, len(core.ospfLinks[r]))
-		for _, a := range core.ospfLinks[r] {
+		links := core.links[config.ProtoOSPF][r]
+		cs := make([]linkCand, 0, len(links))
+		for _, a := range links {
 			nb, _ := oc.t.id(a.nb)
 			cs = append(cs, linkCand{nb: nb, nh: core.tab.nextHop(a.nb, a.iface), cost: clampCost32(a.metric), in: ins[a.iface]})
 		}

@@ -275,13 +275,6 @@ func (s *Snapshot) NextHopNames(nh NextHop) (dev, iface string) {
 	return s.tab.deviceName(nh.Dev), s.tab.ifaces[nh.Iface]
 }
 
-// DeviceIndex returns a configured device's index in the Snapshot's
-// device table, the Dev its routes' next hops name it by.
-func (s *Snapshot) DeviceIndex(name string) (int32, bool) {
-	i, ok := s.tab.devIdx[name]
-	return i, ok
-}
-
 // DeviceMap translates the device indices of one Snapshot's table into
 // another's. When one table extends the other, as a seeded Net's extends
 // its seed's (BuildFrom), it is the identity on the devices both hold;

@@ -102,14 +102,13 @@ func BuildFrom(cfg *config.Network, prev *Snapshot) (*Net, *FilterDiff, error) {
 // routing inputs: speakers, adjacencies and their metrics, BGP sessions
 // and AS numbers.
 func sameAdjacencies(a, b *simCore) bool {
-	return slices.Equal(a.ospf.speakers, b.ospf.speakers) &&
-		slices.Equal(a.ripSpeakers, b.ripSpeakers) &&
-		slices.Equal(a.eigrpSpeakers, b.eigrpSpeakers) &&
-		slices.Equal(a.bgpSpeakers, b.bgpSpeakers) &&
+	for p := range a.links {
+		if !slices.Equal(a.speakers[p], b.speakers[p]) || !maps.EqualFunc(a.links[p], b.links[p], slices.Equal[[]adjacency]) {
+			return false
+		}
+	}
+	return slices.Equal(a.bgpSpeakers, b.bgpSpeakers) &&
 		maps.Equal(a.asn, b.asn) &&
-		maps.EqualFunc(a.ospfLinks, b.ospfLinks, slices.Equal[[]adjacency]) &&
-		maps.EqualFunc(a.ripLinks, b.ripLinks, slices.Equal[[]adjacency]) &&
-		maps.EqualFunc(a.eigrpLinks, b.eigrpLinks, slices.Equal[[]adjacency]) &&
 		slices.EqualFunc(a.sessions, b.sessions, func(x, y bgpSession) bool {
 			return x.owner == y.owner && x.peer == y.peer && x.peerAddr == y.peerAddr && x.ebgp == y.ebgp && x.iface == y.iface
 		})

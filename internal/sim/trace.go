@@ -164,7 +164,8 @@ func (s *Snapshot) ListFrom(start, dst string) Listing {
 }
 
 // Device returns the index of device name in the Snapshot's device table
-// (Devices), and whether the network configures name.
+// (Devices), the Dev its routes' next hops name it by, and whether the
+// network configures name.
 func (s *Snapshot) Device(name string) (int32, bool) {
 	i, ok := s.tab.devIdx[name]
 	return i, ok

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"confmask/internal/netgen"
 	"confmask/internal/sim"
 )
 
@@ -354,6 +355,67 @@ func TestStrawmanOutputPins(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// dvOutputPins holds the output digest of the RIP and EIGRP networks of
+// dvOutputNetwork anonymized with DefaultOptions at seed 1. No catalog
+// network runs a distance-vector protocol, so these are the committed
+// values that cover the pipeline's RIP and EIGRP filters and processes.
+var dvOutputPins = []struct {
+	name  string
+	proto netgen.Proto
+	pin   string
+}{
+	{"RIP", netgen.RIP, "aab04a07d9faed49afb0ee46afd65eb5758954bb5f4df446ce18527293e51ee6"},
+	{"EIGRP", netgen.EIGRP, "0a6507c8b2f3b5a425248452fdc1f4ce0faa0f76bd9659e96a88da0b53a9b18c"},
+}
+
+// dvOutputNetwork renders a 14-router network of the given protocol: a
+// ring with chords, four hosts, and for EIGRP two non-default delays.
+func dvOutputNetwork(t *testing.T, proto netgen.Proto) map[string]string {
+	t.Helper()
+	b := netgen.NewBuilder(proto)
+	name := func(i int) string { return fmt.Sprintf("r%02d", i%14+1) }
+	for i := 0; i < 14; i++ {
+		b.Router(name(i))
+	}
+	for i := 0; i < 14; i++ {
+		b.Link(name(i), name(i+1))
+		if i%3 == 0 {
+			b.Link(name(i), name(i+5))
+		}
+	}
+	b.Host("h1", "r01").Host("h2", "r05").Host("h3", "r09").Host("h4", "r12")
+	cfg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proto == netgen.EIGRP {
+		cfg.Device("r02").Interfaces[0].Delay = 30
+		cfg.Device("r07").Interfaces[1].Delay = 20
+	}
+	configs := make(map[string]string)
+	for n, text := range cfg.Render() {
+		configs[n+".cfg"] = text
+	}
+	return configs
+}
+
+// TestDistanceVectorOutputPins anonymizes the RIP and EIGRP networks of
+// dvOutputNetwork at seed 1 and compares the output digest against the
+// committed value.
+func TestDistanceVectorOutputPins(t *testing.T) {
+	for _, pin := range dvOutputPins {
+		opts := DefaultOptions()
+		opts.Seed = 1
+		out, _, err := Anonymize(dvOutputNetwork(t, pin.proto), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		if got := outputDigest(out); got != pin.pin {
+			t.Errorf("%s: output sha256 %s, pinned %s", pin.name, got, pin.pin)
 		}
 	}
 }

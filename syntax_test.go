@@ -76,3 +76,26 @@ func TestSyntaxConversionBothWays(t *testing.T) {
 		break
 	}
 }
+
+// TestMixedSyntaxBundle parses a bundle of one Junos and one IOS file
+// many times: the syntax is read off the first file in name order, so
+// every call detects Junos and fails on the IOS file with the same error.
+func TestMixedSyntaxBundle(t *testing.T) {
+	bundle := map[string]string{
+		"a.cfg": "set system host-name r1\nset interfaces eth0 unit 0 family inet address 10.0.0.1/24\n",
+		"b.cfg": "hostname r2\n!\ninterface eth0\n ip address 10.0.0.2 255.255.255.0\n!\n",
+	}
+	_, syntax, err := parseAny(bundle)
+	if syntax != "junos" || err == nil || !strings.Contains(err.Error(), "b.cfg") {
+		t.Fatalf("parseAny = %q, %v; want junos and an error naming b.cfg", syntax, err)
+	}
+	for i := 0; i < 50; i++ {
+		_, s, e := parseAny(bundle)
+		if s != syntax || e == nil || e.Error() != err.Error() {
+			t.Fatalf("call %d: %q, %v; first call %q, %v", i, s, e, syntax, err)
+		}
+		if _, e := Inspect(bundle); e == nil || e.Error() != err.Error() {
+			t.Fatalf("Inspect call %d: %v; want %v", i, e, err)
+		}
+	}
+}
